@@ -45,14 +45,6 @@ class MatrixBlockAlgebra:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def ambient_offsets(self):
-        """Start offset of each block in the ambient basis."""
-        offs, pos = [], 0
-        for d, m in self.blocks:
-            offs.append(pos)
-            pos += d * m
-        return offs
-
     def coord_offsets(self):
         """Start offset of each block in the flat coordinate vector."""
         offs, pos = [], 0
@@ -189,6 +181,19 @@ def coordinate_basis(alg: MatrixBlockAlgebra):
     return basis
 
 
+def structure_constants(alg: MatrixBlockAlgebra) -> np.ndarray:
+    """Products of the coordinate basis: ``out[a, b]`` holds the
+    coordinates of x_a·x_b.  Within a block E_uv·E_vz = E_uz, and every
+    other product of matrix units vanishes.
+    """
+    n = alg.coord_dim
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for off, (d, _) in zip(alg.coord_offsets(), alg.blocks):
+        u, v, z = np.indices((d, d, d))
+        out[off + u * d + v, off + v * d + z, off + u * d + z] = 1.0
+    return out
+
+
 def project_to_algebra(alg: MatrixBlockAlgebra, m):
     """Orthogonal (Hilbert–Schmidt) projection of an ambient matrix onto the
     algebra.  Returns ``(element, residual)``; the projection is the partial
@@ -262,13 +267,18 @@ class ConditionalExpectation:
 
     def ambient(self, m) -> np.ndarray:
         """Contraction to an ambient matrix on the B side (no membership check)."""
-        g = self.target.ambient_dim
-        k = self.k_dim
-        m = as_complex(m).reshape(k, g, k, g)
-        return np.einsum("k,kglh,l->gh", np.conj(self.psi_vector), m, self.psi_vector)
+        return slice_map(m, self.psi_vector, self.target.ambient_dim)
 
     def __call__(self, m, tol: float = MEMBERSHIP_TOL) -> AlgebraElement:
         return decompose(self.target, self.ambient(m), tol)
+
+
+def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
+    """(id⊗ψ) of an ambient matrix on G⊗K with the K leg slowest: both K
+    legs are contracted against the state vector ψ."""
+    k = psi_vector.size
+    t = as_complex(m).reshape(k, g_dim, k, g_dim)
+    return np.einsum("k,kglh,l->gh", np.conj(psi_vector), t, psi_vector)
 
 
 def conditional_expectation(target: MatrixBlockAlgebra, k_dim: int,

@@ -2,33 +2,47 @@
 
 Commands: dilate | dual | extend | roundtrip | paper-example | verify.
 Instances come from a JSON file (--input), from the embedded worked
-example (--builtin), or from the random generators (--random).  Reports
-are deterministic JSON byte streams; wall-clock timings are only included
+example (--builtin), or from the random generators (--random, at most
+--dims ambient dimensions, seeded by --rng-seed).  Reports are
+deterministic JSON byte streams; wall-clock timings are only included
 with --timings since they vary between runs.
 
-Exit codes: 0 pass, 1 input/parse error, 2 verification failure.
+Every command takes --output (write the JSON report to a file), --json
+(print the report instead of a summary) and --tol (scale all stage
+tolerances).  The other flags, by command:
+
+    dilate          --input --builtin --random --dims --rng-seed --timings
+                    --emit-matrices --map --seed-qons
+    dual, extend    --input --builtin --random --dims --rng-seed --timings
+                    --emit-matrices --context
+    roundtrip       --input --builtin --random --dims --rng-seed --timings
+                    --context
+    paper-example   --timings --no-seed  (always the worked example)
+    verify          --input --builtin
+
+Exit codes: 0 pass, 1 input/parse error, 2 verification failure.  A usage
+error (an unknown command or flag, or a malformed value) exits 2 through
+argparse's SystemExit before any stage runs.
 """
 
 import argparse
-import json
+import contextlib
 import sys
 import time
 
 import numpy as np
 
 from . import sampling
-from .algebra import (coordinate_basis, element, identity, make_algebra,
-                      represent)
-from .cpmap import apply, make_cpmap
-from .dilation import verify_dilation, weak_tensor_dilation
+from .algebra import element
+from .cpmap import apply
+from .dilation import weak_tensor_dilation
 from .duality import (build_context, dilation_from_extension, double_dual,
                       dual_map, dual_pairing_residual, extend_cp_map,
                       extension_from_dilation, is_minimal_dilation,
                       state_transport_residual)
-from .errors import CpdilateError, InputError, NotCovariant, NotCyclic
-from .instancefile import (Instance, dump_report, jsonify, load_instance,
-                           loads_instance, matrix_to_json)
-from .vnmodule import gns, inner_product, qons
+from .errors import CpdilateError, InputError
+from .instancefile import Instance, dump_report, load_instance, matrix_to_json
+from .vnmodule import gns, inner_product, module_element, qons
 
 STAGE_TOLERANCES = {
     "construct": 1e-10,
@@ -68,23 +82,27 @@ BUILTIN_EXAMPLE = {
     },
 }
 
+# Standing duality hypotheses as (DualityContext flag, stage name, message).
+HYPOTHESES = (
+    ("covariant", "covariance", "states are not covariant for S"),
+    ("f_cyclic_for_source", "cyclicity", "f not cyclic for A"),
+    ("g_cyclic_for_target_commutant", "cyclicity", "g not cyclic for B'"),
+)
+
 
 def builtin_instance() -> Instance:
-    return loads_instance(json.dumps(BUILTIN_EXAMPLE))
+    return Instance(BUILTIN_EXAMPLE)
 
 
 class _Timer:
     def __init__(self):
         self.stages = {}
 
+    @contextlib.contextmanager
     def stage(self, name):
-        timer = self
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-            def __exit__(self, *exc):
-                timer.stages[name] = time.perf_counter() - self.t0
-        return _Ctx()
+        t0 = time.perf_counter()
+        yield
+        self.stages[name] = time.perf_counter() - t0
 
 
 def _tolerances(instance: Instance | None, factor: float) -> dict:
@@ -97,9 +115,9 @@ def _tolerances(instance: Instance | None, factor: float) -> dict:
 
 
 def _resolve_instance(args) -> Instance | None:
-    if getattr(args, "builtin", False):
+    if args.builtin:
         return builtin_instance()
-    if getattr(args, "input", None):
+    if args.input:
         return load_instance(args.input)
     if getattr(args, "random", False):
         return None
@@ -134,6 +152,26 @@ def _stage(name: str, residuals: dict, tol: float, **extra) -> dict:
     return stage
 
 
+def _run(args, build) -> int:
+    """Run one command: resolve its instance and tolerances, add the
+    command's own report fields, emit the report and return 0 when it
+    passes, 2 when it does not.
+
+    ``build(args, instance, tols, timer)`` returns the command's fields,
+    including ``stages``; its ``pass`` defaults to all stages passing.
+    """
+    instance = _resolve_instance(args)
+    tols = _tolerances(instance, args.tol)
+    timer = _Timer()
+    report = {"schema": 1, "command": args.command, "tolerances": tols,
+              **build(args, instance, tols, timer)}
+    report.setdefault("pass", all(stage["pass"] for stage in report["stages"]))
+    if getattr(args, "timings", False):
+        report["timings"] = timer.stages
+    _emit(report, args)
+    return 0 if report["pass"] else 2
+
+
 def _random_dilation_instance(args):
     rng = np.random.default_rng(args.rng_seed)
     a_alg = sampling.random_standard_algebra(rng, args.dims)
@@ -141,19 +179,15 @@ def _random_dilation_instance(args):
     return sampling.random_unital_cp_map(rng, a_alg, b_alg)
 
 
-def cmd_dilate(args) -> int:
-    instance = _resolve_instance(args)
-    tols = _tolerances(instance, args.tol)
-    timer = _Timer()
+def cmd_dilate(args, instance, tols, timer) -> dict:
     data = None
+    seed = None
     if instance is None:
         s = _random_dilation_instance(args)
         map_name = "random"
-        seed = None
     else:
         map_name = args.map or instance.only_map_name()
         s = instance.cp_map(map_name)
-        seed = None
         if args.seed_qons:
             with timer.stage("gns"):
                 data = gns(s, tols["construct"])
@@ -161,109 +195,82 @@ def cmd_dilate(args) -> int:
     with timer.stage("dilate"):
         d = weak_tensor_dilation(s, seed_qons=seed, tol=tols["construct"],
                                  data=data)
-    cert = d.certificate
-    stage = _stage("dilation-certificate", cert.as_dict(), tols["verify"])
-    report = {
-        "schema": 1,
-        "command": "dilate",
+    fields = {
         "map": map_name,
         "dims": {"H_dim": d.gns_data.h_dim, "K_dim": d.k_dim,
                  "module_dim": int(d.gns_data.module_basis.shape[0])},
-        "stages": [stage],
-        "tolerances": tols,
-        "pass": stage["pass"],
+        "stages": [_stage("dilation-certificate", d.certificate.as_dict(),
+                          tols["verify"])],
     }
     if args.emit_matrices:
-        report["matrices"] = {
+        fields["matrices"] = {
             "p_I": matrix_to_json(d.p_i_matrix),
             "j_on_basis": [matrix_to_json(m) for m in d.j_ops],
         }
-    if args.timings:
-        report["timings"] = timer.stages
-    _emit(report, args)
-    return 0 if report["pass"] else 2
+    return fields
 
 
-def _context_from(args, instance: Instance | None, tols):
-    if instance is None:
-        rng = np.random.default_rng(args.rng_seed)
-        return sampling.random_covariant_context(rng, args.dims), "random"
-    name = args.context or instance.only_context_name()
+def _instance_context(instance: Instance, name: str, tols):
     spec = instance.contexts[name]
     s = instance.cp_map(spec["map"])
     f = instance.states[spec["f"]][1]
     g = instance.states[spec["g"]][1]
-    return build_context(s.source, s.target, s, f, g, tols["construct"]), name
+    return build_context(s.source, s.target, s, f, g, tols["construct"])
 
 
-def _check_hypotheses(ctx, stages) -> bool:
-    """Record failed standing hypotheses; returns True when all hold."""
-    problems = []
-    if not ctx.covariant:
-        problems.append({
-            "name": "covariance",
-            "residuals": {"covariance": ctx.covariance_residual},
-            "max_residual": ctx.covariance_residual,
-            "pass": False,
-            "message": "states are not covariant for S",
-        })
-    if not ctx.f_cyclic_for_source:
-        problems.append({"name": "cyclicity", "pass": False,
-                         "message": "f not cyclic for A", "residuals": {}})
-    if not ctx.g_cyclic_for_target_commutant:
-        problems.append({"name": "cyclicity", "pass": False,
-                         "message": "g not cyclic for B'", "residuals": {}})
-    stages.extend(problems)
-    return not problems
-
-
-def cmd_dual(args) -> int:
-    instance = _resolve_instance(args)
-    tols = _tolerances(instance, args.tol)
-    timer = _Timer()
-    ctx, name = _context_from(args, instance, tols)
+def _hypothesis_failures(ctx) -> list:
+    """One failing stage per standing hypothesis that does not hold."""
     stages = []
-    report = {"schema": 1, "command": "dual", "context": name,
-              "tolerances": tols, "stages": stages}
-    hypotheses_hold = _check_hypotheses(ctx, stages)
-    if not hypotheses_hold:
-        report["pass"] = False
-        _emit(report, args)
-        return 2
+    for flag, name, message in HYPOTHESES:
+        if getattr(ctx, flag):
+            continue
+        stage = {"name": name, "pass": False, "message": message,
+                 "residuals": {}}
+        if flag == "covariant":
+            stage["residuals"] = {"covariance": ctx.covariance_residual}
+            stage["max_residual"] = ctx.covariance_residual
+        stages.append(stage)
+    return stages
+
+
+def _with_context(body):
+    """Command builder for a duality context.  The body runs as
+    ``body(args, ctx, tols, timer)`` only when every standing hypothesis
+    holds; otherwise the report lists the failed ones and does not pass."""
+    def build(args, instance, tols, timer):
+        if instance is None:
+            rng = np.random.default_rng(args.rng_seed)
+            ctx, name = sampling.random_covariant_context(rng, args.dims), "random"
+        else:
+            name = args.context or instance.only_context_name()
+            ctx = _instance_context(instance, name, tols)
+        failures = _hypothesis_failures(ctx)
+        if failures:
+            return {"context": name, "stages": failures}
+        return {"context": name, **body(args, ctx, tols, timer)}
+    return build
+
+
+def cmd_dual(args, ctx, tols, timer) -> dict:
     with timer.stage("dual"):
         s_prime = dual_map(ctx, tols["construct"])
     residuals = {
         "pairing": dual_pairing_residual(ctx, s_prime),
         "state_transport": state_transport_residual(ctx, s_prime),
     }
-    if ctx.g_cyclic_for_target_commutant:
-        with timer.stage("double-dual"):
-            _, distance = double_dual(ctx, tols["construct"])
-        residuals["double_dual_distance"] = distance
-    stages.append(_stage("dual-map", residuals, tols["verify"]))
-    report["dims"] = {"source_commutant_coords": ctx.target_commutant.coord_dim,
-                      "target_commutant_coords": ctx.source_commutant.coord_dim}
-    report["pass"] = all(s["pass"] for s in stages)
+    with timer.stage("double-dual"):
+        _, residuals["double_dual_distance"] = double_dual(ctx, tols["construct"])
+    fields = {
+        "dims": {"source_commutant_coords": ctx.target_commutant.coord_dim,
+                 "target_commutant_coords": ctx.source_commutant.coord_dim},
+        "stages": [_stage("dual-map", residuals, tols["verify"])],
+    }
     if args.emit_matrices:
-        report["matrices"] = {"dual_action": matrix_to_json(s_prime.action)}
-    if args.timings:
-        report["timings"] = timer.stages
-    _emit(report, args)
-    return 0 if report["pass"] else 2
+        fields["matrices"] = {"dual_action": matrix_to_json(s_prime.action)}
+    return fields
 
 
-def cmd_extend(args) -> int:
-    instance = _resolve_instance(args)
-    tols = _tolerances(instance, args.tol)
-    timer = _Timer()
-    ctx, name = _context_from(args, instance, tols)
-    stages = []
-    report = {"schema": 1, "command": "extend", "context": name,
-              "tolerances": tols, "stages": stages}
-    if not _check_hypotheses(ctx, stages):
-        report["pass"] = False
-        _emit(report, args)
-        return 2
+def cmd_extend(args, ctx, tols, timer) -> dict:
     with timer.stage("extend"):
         ext = extend_cp_map(ctx, tols["construct"])
     residuals = {
@@ -273,31 +280,19 @@ def cmd_extend(args) -> int:
         "unitality": ext.kraus.completeness_residual,
         "choi_negativity": max(0.0, -ext.cpmap.choi_min_eigenvalue),
     }
-    stages.append(_stage("extension", residuals, tols["verify"],
-                         is_cp=ext.cpmap.is_cp, is_unital=ext.cpmap.is_unital))
-    report["dims"] = {"L_dim": ext.l_dim}
-    report["pass"] = all(s["pass"] for s in stages) and ext.cpmap.is_cp \
-        and ext.cpmap.is_unital
+    stage = _stage("extension", residuals, tols["verify"],
+                   is_cp=ext.cpmap.is_cp, is_unital=ext.cpmap.is_unital)
+    fields = {
+        "dims": {"L_dim": ext.l_dim},
+        "stages": [stage],
+        "pass": stage["pass"] and ext.cpmap.is_cp and ext.cpmap.is_unital,
+    }
     if args.emit_matrices:
-        report["matrices"] = {"extension_action": matrix_to_json(ext.cpmap.action)}
-    if args.timings:
-        report["timings"] = timer.stages
-    _emit(report, args)
-    return 0 if report["pass"] else 2
+        fields["matrices"] = {"extension_action": matrix_to_json(ext.cpmap.action)}
+    return fields
 
 
-def cmd_roundtrip(args) -> int:
-    instance = _resolve_instance(args)
-    tols = _tolerances(instance, args.tol)
-    timer = _Timer()
-    ctx, name = _context_from(args, instance, tols)
-    stages = []
-    report = {"schema": 1, "command": "roundtrip", "context": name,
-              "tolerances": tols, "stages": stages}
-    if not _check_hypotheses(ctx, stages):
-        report["pass"] = False
-        _emit(report, args)
-        return 2
+def cmd_roundtrip(args, ctx, tols, timer) -> dict:
     with timer.stage("pipeline"):
         s_prime = dual_map(ctx, tols["construct"])
         d_prime = weak_tensor_dilation(s_prime, tol=tols["construct"])
@@ -313,24 +308,17 @@ def cmd_roundtrip(args) -> int:
         "recovered_certificate": d_back.certificate.max_residual,
     }
     dims_match = d_back.k_dim == ext.kraus.l_dim
-    stages.append(_stage("roundtrip", residuals, tols["roundtrip"],
-                         minimal=is_minimal_dilation(s_prime, d_back,
-                                                     tols["construct"]),
-                         l_dims_match=dims_match))
-    report["dims"] = {"L_forward": ext.l_dim, "L_back": d_back.k_dim}
-    report["pass"] = all(s["pass"] for s in stages) and dims_match
-    if args.timings:
-        report["timings"] = timer.stages
-    _emit(report, args)
-    return 0 if report["pass"] else 2
+    stage = _stage("roundtrip", residuals, tols["roundtrip"],
+                   minimal=is_minimal_dilation(s_prime, d_back,
+                                               tols["construct"]),
+                   l_dims_match=dims_match)
+    return {"dims": {"L_forward": ext.l_dim, "L_back": d_back.k_dim},
+            "stages": [stage], "pass": stage["pass"] and dims_match}
 
 
-def cmd_paper_example(args) -> int:
+def cmd_paper_example(args, instance, tols, timer) -> dict:
     """Full reproduction of the embedded worked example."""
-    instance = builtin_instance()
-    tols = _tolerances(instance, args.tol)
     golden_tol = tols["golden"]
-    timer = _Timer()
     s = instance.cp_map("S")
     stages = []
 
@@ -347,7 +335,6 @@ def cmd_paper_example(args) -> int:
     a_alg, b_alg = s.source, s.target
     rng = np.random.default_rng(0)
     formula_residual = 0.0
-    from .vnmodule import module_element
     for _ in range(4):
         xs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         x1 = element(a_alg, [np.array([[xs[0]]]), np.array([[xs[1]]])])
@@ -384,8 +371,7 @@ def cmd_paper_example(args) -> int:
 
     with timer.stage("dilate"):
         d = weak_tensor_dilation(s, seed_qons=seed, tol=tols["construct"])
-    cert = d.certificate
-    dil_res = dict(cert.as_dict())
+    dil_res = dict(d.certificate.as_dict())
     if not args.no_seed:
         p_i_expected = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 1.0]).astype(complex)
         dil_res["p_I_golden"] = float(np.max(np.abs(d.p_i_matrix - p_i_expected)))
@@ -405,15 +391,10 @@ def cmd_paper_example(args) -> int:
         dil_res["note_matrix_equality_skipped"] = 0.0
     stages.append(_stage("dilation", dil_res, golden_tol, K_dim=d.k_dim))
 
-    report = {"schema": 1, "command": "paper-example",
-              "seeded": not args.no_seed, "tolerances": tols,
-              "stages": stages, "pass": all(st["pass"] for st in stages)}
+    fields = {"seeded": not args.no_seed, "stages": stages}
     if args.no_seed:
-        report["note"] = "matrix-equality checks skipped without the seed"
-    if args.timings:
-        report["timings"] = timer.stages
-    _emit(report, args)
-    return 0 if report["pass"] else 2
+        fields["note"] = "matrix-equality checks skipped without the seed"
+    return fields
 
 
 def _expected_worked_matrix(a1: float, a2: float) -> np.ndarray:
@@ -428,64 +409,53 @@ def _expected_worked_matrix(a1: float, a2: float) -> np.ndarray:
                      [t * p2, zero, s * p2]]).astype(complex)
 
 
-def cmd_verify(args) -> int:
-    instance = _resolve_instance(args)
-    if instance is None:
-        raise InputError("verify needs --input or --builtin")
-    tols = _tolerances(instance, args.tol)
+def cmd_verify(args, instance, tols, timer) -> dict:
     stages = []
-    ok = True
     for name, s in instance.cp_maps.items():
         stages.append({"name": f"cp_map:{name}", "is_cp": s.is_cp,
                        "is_unital": s.is_unital,
                        "choi_min_eigenvalue": s.choi_min_eigenvalue,
                        "residuals": {}, "pass": bool(s.is_cp)})
-        ok = ok and s.is_cp
-    for name, spec in instance.contexts.items():
-        s = instance.cp_map(spec["map"])
-        f = instance.states[spec["f"]][1]
-        g = instance.states[spec["g"]][1]
-        ctx = build_context(s.source, s.target, s, f, g, tols["construct"])
-        messages = []
-        if not ctx.covariant:
-            messages.append("states are not covariant for S")
-        if not ctx.f_cyclic_for_source:
-            messages.append("f not cyclic for A")
-        if not ctx.g_cyclic_for_target_commutant:
-            messages.append("g not cyclic for B'")
+    for name in instance.contexts:
+        ctx = _instance_context(instance, name, tols)
+        messages = [stage["message"] for stage in _hypothesis_failures(ctx)]
         stages.append({"name": f"context:{name}",
                        "residuals": {"covariance": ctx.covariance_residual},
                        "covariant": ctx.covariant,
                        "f_cyclic_for_A": ctx.f_cyclic_for_source,
                        "g_cyclic_for_B_commutant": ctx.g_cyclic_for_target_commutant,
                        "messages": messages, "pass": not messages})
-        ok = ok and not messages
-    report = {"schema": 1, "command": "verify", "stages": stages, "pass": ok,
-              "tolerances": tols}
-    _emit(report, args)
-    return 0 if ok else 2
+    return {"stages": stages}
 
 
-def _add_common(parser, random_ok=True):
-    parser.add_argument("--input", help="instance file (JSON)")
-    parser.add_argument("--builtin", action="store_true",
-                        help="use the embedded worked example instance")
-    parser.add_argument("--output", help="write the JSON report to a file")
-    parser.add_argument("--json", action="store_true",
-                        help="print the JSON report to stdout")
-    parser.add_argument("--tol", type=float, default=1.0,
-                        help="scale factor applied to all stage tolerances")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings (non-deterministic)")
-    parser.add_argument("--emit-matrices", action="store_true",
-                        help="include result matrices in the report")
-    if random_ok:
-        parser.add_argument("--random", action="store_true",
-                            help="generate a random instance")
-        parser.add_argument("--dims", type=int, default=4,
-                            help="maximum ambient dimension for --random")
-        parser.add_argument("--rng-seed", type=int, default=0,
-                            help="seed for --random")
+# argparse keyword arguments of every flag.
+OPTIONS = {
+    "--input": {"help": "instance file (JSON)"},
+    "--builtin": {"action": "store_true",
+                  "help": "use the embedded worked example instance"},
+    "--output": {"help": "write the JSON report to a file"},
+    "--json": {"action": "store_true", "help": "print the JSON report to stdout"},
+    "--tol": {"type": float, "default": 1.0,
+              "help": "scale factor applied to all stage tolerances"},
+    "--timings": {"action": "store_true",
+                  "help": "include wall-clock timings (non-deterministic)"},
+    "--emit-matrices": {"action": "store_true",
+                        "help": "include result matrices in the report"},
+    "--random": {"action": "store_true", "help": "generate a random instance"},
+    "--dims": {"type": int, "default": 4,
+               "help": "maximum ambient dimension for --random"},
+    "--rng-seed": {"type": int, "default": 0, "help": "seed for --random"},
+    "--map": {"help": "name of the CP map in the instance file"},
+    "--seed-qons": {"help": "name of a seed family in the instance file"},
+    "--context": {"help": "name of the context in the instance file"},
+    "--no-seed": {"action": "store_true",
+                  "help": "run with the default seed; skip matrix-equality checks"},
+}
+REPORT_FLAGS = ("--output", "--json", "--tol")
+# Flags of the commands that run on a file, the worked example or a random
+# instance and time their stages.
+PIPELINE_FLAGS = ("--input", "--builtin", "--random", "--dims", "--rng-seed",
+                  "--timings")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,52 +463,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cpdilate",
         description="weak tensor dilations and covariant extensions of CP maps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dilate", help="construct and verify a weak tensor dilation")
-    _add_common(p)
-    p.add_argument("--map", help="name of the CP map in the instance file")
-    p.add_argument("--seed-qons", help="name of a seed family in the instance file")
-    p.set_defaults(func=cmd_dilate)
-
-    p = sub.add_parser("dual", help="compute and verify the dual CP map")
-    _add_common(p)
-    p.add_argument("--context", help="name of the context in the instance file")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("extend", help="extend a CP map to the full algebras")
-    _add_common(p)
-    p.add_argument("--context", help="name of the context in the instance file")
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("roundtrip", help="extension/dilation round trips")
-    _add_common(p)
-    p.add_argument("--context", help="name of the context in the instance file")
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("paper-example",
-                       help="reproduce the embedded worked example end to end")
-    _add_common(p, random_ok=False)
-    p.add_argument("--no-seed", action="store_true",
-                   help="run with the default seed; skip matrix-equality checks")
-    p.set_defaults(func=cmd_paper_example)
-
-    p = sub.add_parser("verify", help="validate an instance file and its flags")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    commands = (
+        ("dilate", "construct and verify a weak tensor dilation", cmd_dilate,
+         PIPELINE_FLAGS + ("--emit-matrices", "--map", "--seed-qons")),
+        ("dual", "compute and verify the dual CP map", _with_context(cmd_dual),
+         PIPELINE_FLAGS + ("--emit-matrices", "--context")),
+        ("extend", "extend a CP map to the full algebras",
+         _with_context(cmd_extend),
+         PIPELINE_FLAGS + ("--emit-matrices", "--context")),
+        ("roundtrip", "extension/dilation round trips",
+         _with_context(cmd_roundtrip), PIPELINE_FLAGS + ("--context",)),
+        ("paper-example", "reproduce the embedded worked example end to end",
+         cmd_paper_example, ("--timings", "--no-seed")),
+        ("verify", "validate an instance file and its flags", cmd_verify,
+         ("--input", "--builtin")),
+    )
+    for name, help_text, build, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags + REPORT_FLAGS:
+            p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(build=build)
+    sub.choices["paper-example"].set_defaults(builtin=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, args.build)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (NotCovariant, NotCyclic) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
     except CpdilateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

@@ -114,12 +114,6 @@ def apply(s: CPMap, a: AlgebraElement) -> AlgebraElement:
     return element_from_coordinates(s.target, s.action @ coordinates(a))
 
 
-def apply_ambient(s: CPMap, m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply to an ambient matrix of the source (decompose, map, represent)."""
-    a = alg_mod.decompose(s.source, m, tol)
-    return represent(apply(s, a))
-
-
 def compose(s2: CPMap, s1: CPMap, tol: float = DEFAULT_TOL) -> CPMap:
     if s1.target != s2.source:
         raise AlgebraMismatch("inner target does not match outer source")
@@ -200,17 +194,3 @@ def kraus_decomposition(z: CPMap, tol: float = DEFAULT_TOL) -> KrausForm:
     return KrausForm(l_dim=l_dim, operators=tuple(ops), isometry=isometry,
                      reconstruction_residual=recon,
                      completeness_residual=complete)
-
-
-def full_algebra_map_from_ambient(source: MatrixBlockAlgebra,
-                                  target: MatrixBlockAlgebra,
-                                  fn, tol: float = DEFAULT_TOL) -> CPMap:
-    """CPMap from a callable acting on ambient matrices of a full source."""
-    if not source.is_full():
-        raise NotFullAlgebra("ambient construction requires a full source")
-    basis = coordinate_basis(source)
-    cols = []
-    for a in basis:
-        img = fn(represent(a))
-        cols.append(coordinates(alg_mod.decompose(target, img, max(tol, 1e-9))))
-    return make_cpmap(source, target, np.stack(cols, axis=1), tol)

@@ -11,15 +11,16 @@ For non-unital S the cyclic vector is polar-decomposed first and the
 identity S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ| is verified instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .algebra import (AlgebraElement, coordinate_basis, coordinates,
-                      identity, project_to_algebra, represent)
+                      identity, project_to_algebra, represent, slice_map,
+                      structure_constants)
 from .cpmap import CPMap, apply
 from .errors import NotCP, NotUnital
-from .numerics import DEFAULT_TOL, as_complex, frob
+from .numerics import DEFAULT_TOL, frob
 from .vnmodule import (GNSData, ModuleEmbedding, QONS, embed_qons, gns,
                        polar_decompose_module, qons)
 
@@ -45,14 +46,7 @@ class DilationCertificate:
         return self.max_residual <= tol
 
     def as_dict(self):
-        return {
-            "homomorphism": self.homomorphism,
-            "star": self.star,
-            "membership": self.membership,
-            "expectation": self.expectation,
-            "unit_projection": self.unit_projection,
-            "max_residual": self.max_residual,
-        }
+        return {**asdict(self), "max_residual": self.max_residual}
 
 
 @dataclass(frozen=True)
@@ -84,21 +78,7 @@ class WeakTensorDilation:
 
     def expectation_ambient(self, m) -> np.ndarray:
         """(id⊗ψ) applied to an ambient matrix on G⊗K."""
-        g = self.cpmap.target.ambient_dim
-        t = as_complex(m).reshape(self.k_dim, g, self.k_dim, g)
-        return np.einsum("k,kglh,l->gh", np.conj(self.psi_vector), t,
-                         self.psi_vector)
-
-
-def _product_coordinate_tensor(algebra):
-    """Structure constants: coords of x_a x_b for all basis pairs."""
-    basis = coordinate_basis(algebra)
-    n = len(basis)
-    out = np.zeros((n, n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = coordinates(basis[a] @ basis[b])
-    return out
+        return slice_map(m, self.psi_vector, self.cpmap.target.ambient_dim)
 
 
 def _adjoint_coordinate_matrix(algebra):
@@ -124,7 +104,7 @@ def verify_dilation(d: WeakTensorDilation, tol: float = VERIFY_TOL) -> DilationC
     n_a = source.coord_dim
     j_ops = d.j_ops
 
-    prods = _product_coordinate_tensor(source)
+    prods = structure_constants(source)
     hom = 0.0
     for a in range(n_a):
         actual = np.einsum("ij,bjk->bik", j_ops[a], j_ops, optimize=True)
@@ -176,13 +156,9 @@ def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
     psi[0] = 1.0
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
                            j_ops=j_ops, p_i_matrix=emb.p_i_matrix,
-                           certificate=None, absxi=absxi, gns_data=data,
-                           system=system, embedding=emb)
-    cert = verify_dilation(d, tol)
-    return WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
-                              j_ops=j_ops, p_i_matrix=emb.p_i_matrix,
-                              certificate=cert, absxi=absxi, gns_data=data,
-                              system=system, embedding=emb)
+                           absxi=absxi, gns_data=data, system=system,
+                           embedding=emb)
+    return replace(d, certificate=verify_dilation(d, tol))
 
 
 def weak_tensor_dilation(s: CPMap, seed_qons=None, tol: float = DEFAULT_TOL,

@@ -9,15 +9,13 @@ dilation of S' via the commutant lifting on the Stinespring space of Z.
 Both directions are verified with explicit residuals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import algebra as alg_mod
-from .algebra import (AlgebraElement, MatrixBlockAlgebra, check_unit_vector,
-                      commutant, coordinate_basis, coordinates, decompose,
-                      identity, is_cyclic, make_algebra, project_to_algebra,
-                      represent, state_value)
+from .algebra import (MatrixBlockAlgebra, check_unit_vector, commutant,
+                      coordinate_basis, coordinates, decompose, identity,
+                      is_cyclic, make_algebra, represent, state_value)
 from .cpmap import (CPMap, KrausForm, apply, covariance_residual,
                     kraus_decomposition, make_cpmap)
 from .dilation import (WeakTensorDilation, verify_dilation,
@@ -25,8 +23,8 @@ from .dilation import (WeakTensorDilation, verify_dilation,
 from .errors import (InconsistentSystem, NotCovariant, NotCyclic,
                      NotExtension, NotInAlgebra, NotInCommutant,
                      StateMismatch)
-from .numerics import (DEFAULT_TOL, as_complex, frob, matrix_rank,
-                       orthonormal_columns, solve_least_squares)
+from .numerics import (DEFAULT_TOL, frob, matrix_rank, orthonormal_columns,
+                       solve_least_squares)
 from .vnmodule import GNSData, gns
 
 
@@ -49,10 +47,6 @@ class DualityContext:
     @property
     def dim_f(self) -> int:
         return self.source.ambient_dim
-
-    @property
-    def dim_g(self) -> int:
-        return self.target.ambient_dim
 
 
 def build_context(source, target, s: CPMap, f, g,
@@ -181,6 +175,20 @@ def full_algebra(dim: int) -> MatrixBlockAlgebra:
     return make_algebra([(dim, 1)])
 
 
+def map_from_isometry(xi: np.ndarray, dim_f: int,
+                      tol: float = DEFAULT_TOL) -> CPMap:
+    """The CP map Z: B(F) → B(G), Z(x) = ξ*(x⊗I_L)ξ, of an operator
+    ξ: G → F⊗L with the L leg slowest."""
+    full_f = full_algebra(dim_f)
+    full_g = full_algebra(xi.shape[1])
+    eye_l = np.eye(xi.shape[0] // dim_f, dtype=np.complex128)
+    cols = []
+    for x in coordinate_basis(full_f):
+        zx = xi.conj().T @ np.kron(eye_l, represent(x)) @ xi
+        cols.append(coordinates(decompose(full_g, zx)))
+    return make_cpmap(full_f, full_g, np.stack(cols, axis=1), tol)
+
+
 def _restriction_residual(ctx: DualityContext, z: CPMap) -> float:
     worst = 0.0
     full_f = z.source
@@ -201,9 +209,7 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
     """
     if not ctx.g_cyclic_for_target_commutant:
         raise NotCyclic("g is not cyclic for B'")
-    dim_f, dim_g = ctx.dim_f, ctx.dim_g
-    ell = d_prime.psi_vector
-    anchor = np.kron(ell, ctx.f)
+    anchor = np.kron(d_prime.psi_vector, ctx.f)
 
     basis_c = coordinate_basis(ctx.target_commutant)
     lhs_cols = np.stack([represent(b) @ ctx.g for b in basis_c], axis=1)
@@ -215,16 +221,7 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
             f"defining system for the associated isometry is inconsistent "
             f"(residual {residual:.3e})", residual)
     xi = xt.T
-
-    l_dim = d_prime.k_dim
-    full_f = full_algebra(dim_f)
-    full_g = full_algebra(dim_g)
-    eye_l = np.eye(l_dim, dtype=np.complex128)
-    cols = []
-    for x in coordinate_basis(full_f):
-        zx = xi.conj().T @ np.kron(eye_l, represent(x)) @ xi
-        cols.append(coordinates(decompose(full_g, zx)))
-    z = make_cpmap(full_f, full_g, np.stack(cols, axis=1), tol)
+    z = map_from_isometry(xi, ctx.dim_f, tol)
 
     kraus = kraus_decomposition(z, tol)
     restriction = _restriction_residual(ctx, z)
@@ -313,10 +310,8 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
         s_prime = dual_map(ctx, tol)
 
     d = WeakTensorDilation(cpmap=s_prime, k_dim=l_dim, psi_vector=ell,
-                           j_ops=j_ops, p_i_matrix=p_h, certificate=None)
-    cert = verify_dilation(d, tol)
-    return WeakTensorDilation(cpmap=s_prime, k_dim=l_dim, psi_vector=ell,
-                              j_ops=j_ops, p_i_matrix=p_h, certificate=cert)
+                           j_ops=j_ops, p_i_matrix=p_h)
+    return replace(d, certificate=verify_dilation(d, tol))
 
 
 def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,

@@ -157,14 +157,6 @@ def load_instance(path: str) -> Instance:
     return Instance(raw)
 
 
-def loads_instance(text: str) -> Instance:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cannot parse instance: {exc}") from exc
-    return Instance(raw)
-
-
 def jsonify(obj):
     """Convert numbers, numpy arrays and containers to JSON-ready values.
 

@@ -15,7 +15,7 @@ from .algebra import (MatrixBlockAlgebra, commutant, coordinate_basis,
                       coordinates, decompose, element, identity, is_cyclic,
                       make_algebra, represent, state_value)
 from .cpmap import CPMap, apply, make_cpmap
-from .duality import DualityContext, build_context, full_algebra
+from .duality import DualityContext, build_context, map_from_isometry
 from .numerics import DEFAULT_TOL, psd_functions
 
 
@@ -203,13 +203,4 @@ def random_covariant_channel(rng, dim_f: int, dim_g: int, l_dim: int):
             w = w - t * np.vdot(t, w)
         targets.append(w / np.linalg.norm(w))
     xi = np.column_stack(targets) @ g_basis.conj().T
-
-    full_f = full_algebra(dim_f)
-    full_g = full_algebra(dim_g)
-    eye_l = np.eye(l_dim, dtype=np.complex128)
-    cols = []
-    for x in coordinate_basis(full_f):
-        zx = xi.conj().T @ np.kron(eye_l, represent(x)) @ xi
-        cols.append(coordinates(decompose(full_g, zx)))
-    z = make_cpmap(full_f, full_g, np.stack(cols, axis=1))
-    return z, f, g
+    return map_from_isometry(xi, dim_f), f, g

@@ -62,17 +62,6 @@ class GNSData:
         return np.tensordot(coordinates(c), self.rho_prime_ops, axes=1)
 
 
-def _left_multiplication_matrices(algebra):
-    """Coordinate matrices of left multiplication by each basis element."""
-    basis = coordinate_basis(algebra)
-    n = len(basis)
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            mats[i][:, j] = coordinates(x @ y)
-    return mats
-
-
 def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     """GNS/Stinespring construction for a CP map.
 
@@ -106,8 +95,9 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     q = (np.sqrt(lam)[:, None] * u.conj().T).reshape(h_dim, n_a, dim_g)
     lift = (u / np.sqrt(lam)[None, :]).reshape(n_a, dim_g, h_dim)
 
-    left_mult = _left_multiplication_matrices(source)
-    rho_ops = np.einsum("hag,bac,cgk->bhk", q, left_mult, lift, optimize=True)
+    # ρ(x_b) sends x_c⊗g to x_b·x_c⊗g; x_b·x_c has coordinates prods[b, c].
+    prods = alg_mod.structure_constants(source)
+    rho_ops = np.einsum("hag,bca,cgk->bhk", q, prods, lift, optimize=True)
 
     target_comm = commutant(target)
     comm_reps = np.stack([represent(c) for c in coordinate_basis(target_comm)])
@@ -255,10 +245,6 @@ class QONS:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def is_complete(self):
-        return self.completeness_residual <= 1e-8
-
 
 def _qons_relation_residual(elements, projections) -> float:
     worst = 0.0
@@ -335,7 +321,6 @@ class ModuleEmbedding:
     """
 
     k_dim: int
-    k0_index: int
     u: np.ndarray
     p_i_matrix: np.ndarray
     system: QONS
@@ -353,5 +338,5 @@ def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleE
     if system.completeness_residual > max(tol, 1e-8) * max(1.0, data.h_dim ** 0.5):
         raise IncompleteQONS("embedding requires a complete system")
     u = np.vstack([e.conj().T for e in system.elements])
-    return ModuleEmbedding(k_dim=len(system), k0_index=0, u=u,
+    return ModuleEmbedding(k_dim=len(system), u=u,
                            p_i_matrix=u @ u.conj().T, system=system)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cpdilate.algebra import (AlgebraElement, commutant,
-                              conditional_expectation, coordinate_basis,
-                              coordinates, decompose, element,
-                              element_from_coordinates, identity, is_cyclic,
-                              make_algebra, project_to_algebra, represent,
-                              state_value, tensor_with_factor, zero)
+from cpdilate.algebra import (commutant, conditional_expectation,
+                              coordinate_basis, coordinates, decompose,
+                              element, element_from_coordinates, identity,
+                              is_cyclic, make_algebra, project_to_algebra,
+                              represent, state_value, structure_constants,
+                              tensor_with_factor, zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
 from cpdilate.numerics import null_space
 
@@ -106,6 +106,22 @@ class TestCommutant:
         # every kernel vector must decompose in the commutant
         for k in range(kernel.shape[1]):
             decompose(comm, kernel[:, k].reshape(n, n))
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("blocks", [[(1, 1)], [(2, 1)], [(3, 1)],
+                                        [(1, 1), (1, 1)], [(2, 2), (1, 1)],
+                                        [(2, 3)], [(1, 3), (2, 1), (1, 2)],
+                                        [(3, 3)], [(1, 2), (1, 1), (2, 1)],
+                                        [(2, 1), (2, 2), (1, 3)]])
+    def test_equal_to_products_of_basis_elements(self, blocks):
+        for alg in (make_algebra(blocks), commutant(make_algebra(blocks))):
+            basis = coordinate_basis(alg)
+            reference = np.array([[coordinates(x @ y) for y in basis]
+                                  for x in basis])
+            got = structure_constants(alg)
+            assert got.dtype == reference.dtype
+            assert np.array_equal(got, reference)
 
 
 class TestDecompose:

@@ -179,6 +179,38 @@ def test_cli_matches_golden(argv, tmp_path, monkeypatch):
         assert_close(_parsed(expected[key]), _parsed(actual[key]), key)
 
 
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--builtin", "--emit-matrices"],
+    ["paper-example", "--input", "instance.json"],
+    ["paper-example", "--builtin"],
+    ["paper-example", "--emit-matrices"],
+    ["verify", "--builtin", "--timings"],
+    ["verify", "--builtin", "--emit-matrices"],
+    ["verify", "--random"],
+    ["verify", "--builtin", "--dims", "3"],
+    ["verify", "--builtin", "--rng-seed", "1"],
+], ids=" ".join)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["dilate", "--builtin", "--seed-qons", "standard"], ["gns", "dilate"]),
+    (["dual", "--builtin"], ["dual", "double-dual"]),
+    (["extend", "--builtin"], ["extend"]),
+    (["roundtrip", "--builtin"], ["pipeline", "back"]),
+    (["paper-example"], ["gns", "qons", "dilate"]),
+], ids=lambda value: " ".join(value))
+def test_timings_list_the_timed_stages(argv, stages, capsys):
+    assert cli.main(argv + ["--json", "--timings"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert sorted(timings) == sorted(stages)
+    assert all(seconds >= 0.0 for seconds in timings.values())
+
+
 def test_text_comparison_tolerates_only_float_noise():
     _assert_text_close("max residual 1.000e-15)", "max residual 3.000e-15)", "t")
     with pytest.raises(AssertionError):

@@ -11,7 +11,7 @@ from cpdilate.dilation import (WeakTensorDilation, nonunital_recovery,
                                verify_dilation, weak_tensor_dilation)
 from cpdilate.errors import NotUnital
 from cpdilate.sampling import random_standard_algebra, random_unital_cp_map
-from cpdilate.vnmodule import gns, module_element, qons
+from cpdilate.vnmodule import gns
 
 from test_vnmodule import worked_seed
 
