@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCap, NotInAlgebra
-from .numerics import DEFAULT_TOL, as_complex, frob
+from .numerics import DEFAULT_TOL, as_complex, frob, frob_each
 
 MEMBERSHIP_TOL = 1e-9
 AMBIENT_CAP = 64
@@ -87,7 +87,8 @@ class AlgebraElement:
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra,
-                              tuple(b.conj().T for b in self.block_matrices))
+                              tuple(np.conj(np.swapaxes(b, -1, -2))
+                                    for b in self.block_matrices))
 
     def __add__(self, other):
         _require_same_algebra(self, other)
@@ -138,33 +139,47 @@ def zero(alg: MatrixBlockAlgebra) -> AlgebraElement:
 
 
 def represent(x: AlgebraElement) -> np.ndarray:
-    """Ambient matrix ``⊕_i (a_i ⊗ I_{m_i})`` (legs swapped when flipped)."""
+    """Ambient matrix ``⊕_i (a_i ⊗ I_{m_i})`` (legs swapped when flipped).
+
+    Block matrices may carry leading batch axes, (…, d_i, d_i); the result
+    is then the stack (…, N, N) of their ambient matrices.  Coordinates
+    (…, n) become such an element through ``element_from_coordinates``.
+    """
     alg = x.algebra
+    batch = np.shape(x.block_matrices[0])[:-2]
     n = alg.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
+    out = np.zeros(batch + (n, n), dtype=np.complex128)
+    # b ⊗ I_m has rows and columns (r, s), b acting on r; I_m ⊗ b has (s, r).
+    spec = "...ru,st->...srtu" if alg.flipped else "...ru,st->...rsut"
     pos = 0
     for (d, m), b in zip(alg.blocks, x.block_matrices):
         size = d * m
-        if alg.flipped:
-            out[pos:pos + size, pos:pos + size] = np.kron(np.eye(m), b)
-        else:
-            out[pos:pos + size, pos:pos + size] = np.kron(b, np.eye(m))
+        out[..., pos:pos + size, pos:pos + size] = np.einsum(
+            spec, b, np.eye(m)).reshape(batch + (size, size))
         pos += size
     return out
 
 
 def coordinates(x: AlgebraElement) -> np.ndarray:
-    """Flat coordinates: block-major, row-major within each block."""
-    return np.concatenate([b.reshape(-1) for b in x.block_matrices])
+    """Flat coordinates: block-major, row-major within each block.  Leading
+    batch axes of the block matrices are kept, (…, d_i, d_i) → (…, n)."""
+    batch = np.shape(x.block_matrices[0])[:-2]
+    return np.concatenate([b.reshape(batch + (-1,)) for b in x.block_matrices],
+                          axis=-1)
 
 
 def element_from_coordinates(alg: MatrixBlockAlgebra, coords) -> AlgebraElement:
-    coords = as_complex(coords).reshape(-1)
-    if coords.size != alg.coord_dim:
+    """Element with the given coordinates; coordinates (…, n) give block
+    matrices (…, d_i, d_i) with the same leading batch axes."""
+    coords = as_complex(coords)
+    if coords.ndim == 0 or coords.shape[-1] != alg.coord_dim:
+        coords = coords.reshape(-1)
+    if coords.shape[-1] != alg.coord_dim:
         raise ValueError(f"expected {alg.coord_dim} coordinates, got {coords.size}")
+    batch = coords.shape[:-1]
     mats, pos = [], 0
     for d, _ in alg.blocks:
-        mats.append(coords[pos:pos + d * d].reshape(d, d))
+        mats.append(coords[..., pos:pos + d * d].reshape(batch + (d, d)))
         pos += d * d
     return AlgebraElement(alg, tuple(mats))
 
@@ -194,54 +209,103 @@ def structure_constants(alg: MatrixBlockAlgebra) -> np.ndarray:
     return out
 
 
+def coordinate_basis_stack(alg: MatrixBlockAlgebra) -> AlgebraElement:
+    """The coordinate basis as one element with a leading batch axis of
+    length n, ordered like ``coordinate_basis``."""
+    return element_from_coordinates(alg, np.eye(alg.coord_dim))
+
+
+def basis_sandwich(alg: MatrixBlockAlgebra, left, right) -> np.ndarray:
+    """``Σ_a left[:, a]·x_c·right[a]`` for every coordinate basis element x_c,
+    stacked as (n, P, Q), for ``left`` (P, A, N) and ``right`` (A, N, Q).
+
+    The matrix unit E_st of a block acts as |s⟩⟨t| on one leg of the
+    block's ambient slice and as the identity on the other leg e (the slow
+    leg, or the fast one when flipped), so each block is one contraction
+    over (a, e) and no ambient matrix of the basis is built.
+    """
+    p, a_dim, _ = left.shape
+    q = right.shape[-1]
+    out = np.empty((alg.coord_dim, p, q), dtype=np.complex128)
+    spec = "paes,aetq->stpq" if alg.flipped else "pase,ateq->stpq"
+    pos = 0
+    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
+        legs = (m, d) if alg.flipped else (d, m)
+        amb = slice(pos, pos + d * m)
+        out[off:off + d * d] = np.einsum(
+            spec, left[:, :, amb].reshape((p, a_dim) + legs),
+            right[:, amb].reshape((a_dim,) + legs + (q,)),
+            optimize=True).reshape(d * d, p, q)
+        pos += d * m
+    return out
+
+
+def adjoint_permutation(alg: MatrixBlockAlgebra) -> np.ndarray:
+    """Index array p with x_{p[c]} = x_c* on the coordinate basis, since
+    E_uv* = E_vu within each block."""
+    return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                           for off, (d, _) in zip(alg.coord_offsets(), alg.blocks)])
+
+
 def project_to_algebra(alg: MatrixBlockAlgebra, m):
     """Orthogonal (Hilbert–Schmidt) projection of an ambient matrix onto the
     algebra.  Returns ``(element, residual)``; the projection is the partial
     trace over the multiplicity legs of each diagonal block.
+
+    A stack of matrices (…, N, N) is projected matrix by matrix: the
+    element then has block matrices (…, d_i, d_i), and the residual is the
+    array (…) of per-matrix Frobenius norms instead of a float.
     """
     m = as_complex(m)
     n = alg.ambient_dim
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise ValueError(f"expected ambient shape {(n, n)}, got {m.shape}")
+    batch = m.shape[:-2]
+    # Unflipped blocks carry (row, multiplicity) legs, flipped ones the reverse.
+    spec = "...asat->...st" if alg.flipped else "...rsus->...ru"
     mats, pos = [], 0
     for d, mult in alg.blocks:
         size = d * mult
-        blk = m[pos:pos + size, pos:pos + size]
-        if alg.flipped:
-            t = blk.reshape(mult, d, mult, d)
-            mats.append(np.einsum("asat->st", t) / mult)
-        else:
-            t = blk.reshape(d, mult, d, mult)
-            mats.append(np.einsum("rsus->ru", t) / mult)
+        legs = (mult, d) if alg.flipped else (d, mult)
+        blk = m[..., pos:pos + size, pos:pos + size].reshape(batch + legs + legs)
+        mats.append(np.einsum(spec, blk) / mult)
         pos += size
     el = AlgebraElement(alg, tuple(mats))
-    return el, frob(m - represent(el))
+    diff = represent(el)
+    diff -= m
+    residual = frob_each(diff)
+    return el, (float(residual) if not batch else residual)
 
 
 def decompose(alg: MatrixBlockAlgebra, m, tol: float = MEMBERSHIP_TOL) -> AlgebraElement:
     """Coordinates of an ambient matrix; NotInAlgebra when the projection
-    residual exceeds ``tol·max(1, ‖m‖)``."""
+    residual exceeds ``tol·max(1, ‖m‖)``.  A stack (…, N, N) is decomposed
+    matrix by matrix, and the first matrix that fails raises."""
+    m = as_complex(m)
     el, residual = project_to_algebra(alg, m)
-    if residual > tol * max(1.0, frob(m)):
+    failed = np.flatnonzero(residual > tol * np.maximum(1.0, frob_each(m)))
+    if failed.size:
+        worst = float(np.ravel(residual)[failed[0]])
         raise NotInAlgebra(
-            f"matrix is not in the algebra (residual {residual:.3e})", residual)
+            f"matrix is not in the algebra (residual {worst:.3e})", worst)
     return el
 
 
 def is_cyclic(alg: MatrixBlockAlgebra, v, tol: float = DEFAULT_TOL) -> bool:
     """True iff span{x·v : x in the coordinate basis} is the ambient space."""
     v = as_complex(v).reshape(-1)
-    cols = np.stack([represent(x) @ v for x in coordinate_basis(alg)], axis=1)
-    s = np.linalg.svd(cols, compute_uv=False)
+    cols = represent(coordinate_basis_stack(alg)) @ v
+    s = np.linalg.svd(cols.T, compute_uv=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax))
     return rank == alg.ambient_dim
 
 
-def state_value(v, m) -> complex:
-    """Vector state ⟨v, m v⟩."""
+def state_value(v, m):
+    """Vector state ⟨v, m v⟩; a stack (…, N, N) gives the array (…)."""
     v = as_complex(v).reshape(-1)
-    return complex(np.vdot(v, as_complex(m) @ v))
+    value = np.einsum("i,...ij,j->...", np.conj(v), as_complex(m), v)
+    return complex(value) if value.ndim == 0 else value
 
 
 def check_unit_vector(v, tol: float = 1e-8) -> np.ndarray:
@@ -275,10 +339,12 @@ class ConditionalExpectation:
 
 def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
     """(id⊗ψ) of an ambient matrix on G⊗K with the K leg slowest: both K
-    legs are contracted against the state vector ψ."""
+    legs are contracted against the state vector ψ.  A stack (…, KG, KG)
+    gives the stack (…, G, G)."""
     k = psi_vector.size
-    t = as_complex(m).reshape(k, g_dim, k, g_dim)
-    return np.einsum("k,kglh,l->gh", np.conj(psi_vector), t, psi_vector)
+    m = as_complex(m)
+    t = m.reshape(m.shape[:-2] + (k, g_dim, k, g_dim))
+    return np.einsum("k,...kglh,l->...gh", np.conj(psi_vector), t, psi_vector)
 
 
 def conditional_expectation(target: MatrixBlockAlgebra, k_dim: int,

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import (AlgebraElement, MatrixBlockAlgebra, coordinate_basis,
+from .algebra import (AlgebraElement, MatrixBlockAlgebra,
                       coordinates, element_from_coordinates, identity,
                       represent, state_value)
 from .errors import (AlgebraMismatch, NotCP, NotFullAlgebra,
                      NotHermitianPreserving)
-from .numerics import (DEFAULT_TOL, as_complex, frob, hermitian_eig)
+from .numerics import DEFAULT_TOL, as_complex, frob, frob_each, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -65,38 +65,27 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     if action.shape != expected:
         raise ValueError(f"action shape {action.shape}, expected {expected}")
 
-    basis = coordinate_basis(source)
-    images = [element_from_coordinates(target, action[:, i])
-              for i in range(len(basis))]
+    images = basis_images(target, action)
 
     # *-preservation: the image of E_vu must be the adjoint of the image of E_uv.
     scale = max(1.0, frob(action))
-    star_residual = 0.0
-    pos = 0
-    for d, _ in source.blocks:
-        for u in range(d):
-            for v in range(d):
-                i_uv = pos + u * d + v
-                i_vu = pos + v * d + u
-                diff = images[i_vu] - images[i_uv].adjoint()
-                star_residual = max(star_residual, diff.norm())
-        pos += d * d
+    perm = alg_mod.adjoint_permutation(source)
+    star_residual = float(np.max(np.linalg.norm(
+        coordinates(images)[perm] - coordinates(images.adjoint()), axis=-1)))
     if star_residual > tol * scale:
         raise NotHermitianPreserving(
             f"map is not *-preserving (residual {star_residual:.3e})")
 
     # Per-source-block Choi matrices; CP iff all are PSD.
+    applied_all = represent(images)
     choi_blocks = []
     min_eig = np.inf
-    pos = 0
-    for d, _ in source.blocks:
-        applied = np.stack([represent(images[pos + k]) for k in range(d * d)])
-        c = _choi_block(d, applied)
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        c = _choi_block(d, applied_all[off:off + d * d])
         eig = hermitian_eig(c, tol)
         lam_min = float(eig.values[-1])
         min_eig = min(min_eig, lam_min if eig.values.size else 0.0)
         choi_blocks.append(c)
-        pos += d * d
     choi_scale = max(frob(c) for c in choi_blocks)
     is_cp = bool(min_eig >= -tol * max(choi_scale, 1.0))
 
@@ -106,6 +95,13 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     return CPMap(source=source, target=target, action=action,
                  choi_blocks=tuple(choi_blocks), is_cp=is_cp,
                  is_unital=is_unital, choi_min_eigenvalue=float(min_eig))
+
+
+def basis_images(target: MatrixBlockAlgebra, action) -> AlgebraElement:
+    """Images of the whole source coordinate basis under a coordinate
+    action (columns = source coordinates), as one target element with a
+    leading batch axis of length n_A."""
+    return element_from_coordinates(target, as_complex(action).T)
 
 
 def apply(s: CPMap, a: AlgebraElement) -> AlgebraElement:
@@ -128,12 +124,9 @@ def covariance_residual(s: CPMap, f, g) -> float:
     """max_a |φ_f(a) − φ_g(S(a))| over the source coordinate basis."""
     f = alg_mod.check_unit_vector(f)
     g = alg_mod.check_unit_vector(g)
-    worst = 0.0
-    for a in coordinate_basis(s.source):
-        lhs = state_value(f, represent(a))
-        rhs = state_value(g, represent(apply(s, a)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = state_value(f, represent(alg_mod.coordinate_basis_stack(s.source)))
+    rhs = state_value(g, represent(basis_images(s.target, s.action)))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_covariance(s: CPMap, f, g, tol: float = DEFAULT_TOL) -> bool:
@@ -183,13 +176,15 @@ def kraus_decomposition(z: CPMap, tol: float = DEFAULT_TOL) -> KrausForm:
     isometry = (np.vstack(ops) if ops
                 else np.zeros((0, dim_g), dtype=np.complex128))
 
-    basis = coordinate_basis(z.source)
-    recon = 0.0
-    for i, a in enumerate(basis):
-        direct = represent(apply(z, a))
-        m = a.block_matrices[0]
-        summed = sum(op.conj().T @ m @ op for op in ops) if ops else np.zeros_like(direct)
-        recon = max(recon, frob(direct - summed))
+    direct = represent(basis_images(z.target, z.action))
+    if ops:
+        # Σ_k op_k* E_uv op_k has entries conj(op_k[u, g])·op_k[v, h].
+        stacked = np.stack(ops)
+        summed = np.einsum("kug,kvh->uvgh", stacked.conj(), stacked).reshape(
+            direct.shape)
+    else:
+        summed = np.zeros_like(direct)
+    recon = float(np.max(frob_each(direct - summed)))
     complete = frob(sum(op.conj().T @ op for op in ops) - np.eye(dim_g)) if ops else float(dim_g)
     return KrausForm(l_dim=l_dim, operators=tuple(ops), isometry=isometry,
                      reconstruction_residual=recon,

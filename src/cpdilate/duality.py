@@ -14,17 +14,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import (MatrixBlockAlgebra, check_unit_vector, commutant,
-                      coordinate_basis, coordinates, decompose, identity,
-                      is_cyclic, make_algebra, represent, state_value)
-from .cpmap import (CPMap, KrausForm, apply, covariance_residual,
+                      coordinate_basis_stack, coordinates, decompose,
+                      identity, is_cyclic, make_algebra, represent,
+                      state_value)
+from .cpmap import (CPMap, KrausForm, basis_images, covariance_residual,
                     kraus_decomposition, make_cpmap)
 from .dilation import (WeakTensorDilation, verify_dilation,
                        weak_tensor_dilation)
 from .errors import (InconsistentSystem, NotCovariant, NotCyclic,
                      NotExtension, NotInAlgebra, NotInCommutant,
                      StateMismatch)
-from .numerics import (DEFAULT_TOL, frob, matrix_rank, orthonormal_columns,
-                       solve_least_squares)
+from .numerics import (DEFAULT_TOL, frob, frob_each, matrix_rank,
+                       orthonormal_columns, solve_least_squares)
 from .vnmodule import GNSData, gns
 
 
@@ -79,11 +80,10 @@ def xi_prime(ctx: DualityContext, data: GNSData, tol: float = DEFAULT_TOL,
             f"states are not covariant (residual {ctx.covariance_residual:.3e})")
     if not ctx.f_cyclic_for_source and not allow_partial:
         raise NotCyclic("f is not cyclic for A")
-    basis = coordinate_basis(ctx.source)
-    lhs_cols = np.stack([represent(a) @ ctx.f for a in basis], axis=1)
-    rhs_cols = np.stack([data.rho(a) @ (data.xi @ ctx.g) for a in basis], axis=1)
-    xt, residual = solve_least_squares(lhs_cols.T, rhs_cols.T, tol)
-    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_cols)):
+    lhs_rows = represent(coordinate_basis_stack(ctx.source)) @ ctx.f
+    rhs_rows = data.rho_ops @ (data.xi @ ctx.g)
+    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
+    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
         raise InconsistentSystem(
             f"defining system for the dual isometry is inconsistent "
             f"(residual {residual:.3e})", residual)
@@ -102,40 +102,35 @@ def dual_map(ctx: DualityContext, tol: float = DEFAULT_TOL,
     if data is None:
         data = gns(ctx.cpmap, tol)
     xp = xi_prime(ctx, data, tol)
-    cols = []
-    for c in coordinate_basis(ctx.target_commutant):
-        compressed = xp.conj().T @ data.rho_prime(c) @ xp
-        try:
-            el = decompose(ctx.source_commutant, compressed, max(tol, 1e-9))
-        except NotInAlgebra as exc:
-            raise NotInCommutant(
-                f"ξ'*ρ'(b')ξ' is not in the source commutant: {exc}") from exc
-        cols.append(coordinates(el))
-    action = np.stack(cols, axis=1)
+    compressed = xp.conj().T @ data.rho_prime_ops @ xp
+    try:
+        el = decompose(ctx.source_commutant, compressed, max(tol, 1e-9))
+    except NotInAlgebra as exc:
+        raise NotInCommutant(
+            f"ξ'*ρ'(b')ξ' is not in the source commutant: {exc}") from exc
+    action = coordinates(el).T
     return make_cpmap(ctx.target_commutant, ctx.source_commutant, action, tol)
 
 
 def dual_pairing_residual(ctx: DualityContext, s_prime: CPMap) -> float:
     """max |φ_g(b'·S(a)) − φ_f(S'(b')·a)| over both coordinate bases."""
-    worst = 0.0
-    for b in coordinate_basis(ctx.target_commutant):
-        sb = represent(apply(s_prime, b))
-        rb = represent(b)
-        for a in coordinate_basis(ctx.source):
-            lhs = state_value(ctx.g, rb @ represent(apply(ctx.cpmap, a)))
-            rhs = state_value(ctx.f, sb @ represent(a))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    reps_b = represent(coordinate_basis_stack(ctx.target_commutant))
+    reps_sb = represent(basis_images(s_prime.target, s_prime.action))
+    reps_a = represent(coordinate_basis_stack(ctx.source))
+    reps_sa = represent(basis_images(ctx.target, ctx.cpmap.action))
+    # ⟨v, x·y v⟩ = (v*x)·(y v) for every pair (x, y) of two stacks.
+    lhs = (np.conj(ctx.g) @ reps_b) @ (reps_sa @ ctx.g).T
+    rhs = (np.conj(ctx.f) @ reps_sb) @ (reps_a @ ctx.f).T
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def state_transport_residual(ctx: DualityContext, s_prime: CPMap) -> float:
     """max |φ_f(S'(b')) − φ_g(b')| over the commutant coordinate basis."""
-    worst = 0.0
-    for b in coordinate_basis(ctx.target_commutant):
-        lhs = state_value(ctx.f, represent(apply(s_prime, b)))
-        rhs = state_value(ctx.g, represent(b))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = state_value(ctx.f, represent(basis_images(s_prime.target,
+                                                    s_prime.action)))
+    rhs = state_value(ctx.g, represent(coordinate_basis_stack(
+        ctx.target_commutant)))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def swap_context(ctx: DualityContext, s_prime: CPMap,
@@ -181,21 +176,20 @@ def map_from_isometry(xi: np.ndarray, dim_f: int,
     ξ: G → F⊗L with the L leg slowest."""
     full_f = full_algebra(dim_f)
     full_g = full_algebra(xi.shape[1])
-    eye_l = np.eye(xi.shape[0] // dim_f, dtype=np.complex128)
-    cols = []
-    for x in coordinate_basis(full_f):
-        zx = xi.conj().T @ np.kron(eye_l, represent(x)) @ xi
-        cols.append(coordinates(decompose(full_g, zx)))
-    return make_cpmap(full_f, full_g, np.stack(cols, axis=1), tol)
+    # ξ*(E_uv⊗I_L)ξ has entries Σ_l conj(ξ[(l, u), g])·ξ[(l, v), h].
+    x3 = xi.reshape(-1, dim_f, xi.shape[1])
+    zx = np.einsum("lug,lvh->uvgh", x3.conj(), x3, optimize=True).reshape(
+        dim_f * dim_f, xi.shape[1], xi.shape[1])
+    return make_cpmap(full_f, full_g, coordinates(decompose(full_g, zx)).T, tol)
 
 
 def _restriction_residual(ctx: DualityContext, z: CPMap) -> float:
-    worst = 0.0
-    full_f = z.source
-    for a in coordinate_basis(ctx.source):
-        za = apply(z, decompose(full_f, represent(a)))
-        worst = max(worst, frob(represent(za) - represent(apply(ctx.cpmap, a))))
-    return worst
+    """max ‖Z(a) − S(a)‖ over the coordinate basis of A ⊂ B(F)."""
+    full_coords = coordinates(decompose(
+        z.source, represent(coordinate_basis_stack(ctx.source))))
+    za = represent(basis_images(z.target, z.action @ full_coords.T))
+    sa = represent(basis_images(ctx.target, ctx.cpmap.action))
+    return float(np.max(frob_each(za - sa)))
 
 
 def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
@@ -211,12 +205,10 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
         raise NotCyclic("g is not cyclic for B'")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
 
-    basis_c = coordinate_basis(ctx.target_commutant)
-    lhs_cols = np.stack([represent(b) @ ctx.g for b in basis_c], axis=1)
-    rhs_cols = np.stack([d_prime.j_ops[i] @ anchor for i in range(len(basis_c))],
-                        axis=1)
-    xt, residual = solve_least_squares(lhs_cols.T, rhs_cols.T, tol)
-    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_cols)):
+    lhs_rows = represent(coordinate_basis_stack(ctx.target_commutant)) @ ctx.g
+    rhs_rows = d_prime.j_ops @ anchor
+    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
+    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
         raise InconsistentSystem(
             f"defining system for the associated isometry is inconsistent "
             f"(residual {residual:.3e})", residual)
@@ -229,6 +221,54 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
     return Extension(cpmap=z, kraus=kraus, isometry=xi,
                      restriction_residual=restriction,
                      covariance_residual=cov)
+
+
+def _commutant_lifting(ctx: DualityContext, xi: np.ndarray, tol: float):
+    """j(b') = ρ'(b')p_H for every b' of the commutant coordinate basis, and
+    p_H, from the Stinespring isometry ξ: G → F⊗L of an extension.
+
+    H is the span of the blocks (a⊗I_L)ξ·b; ρ'(c) is defined on that
+    spanning family by (a⊗I_L)ξ·b ↦ (a⊗I_L)ξ·b·c and solved for every c at
+    once.  Raises InconsistentSystem, with the residual of the first c that
+    fails, when ρ'(c) is not well-defined on the span.
+    """
+    dim_f = ctx.dim_f
+    l_dim = xi.shape[0] // dim_f
+    reps_a = represent(coordinate_basis_stack(ctx.source))
+    reps_b = represent(coordinate_basis_stack(ctx.target))
+    reps_c = represent(coordinate_basis_stack(ctx.target_commutant))
+    n_ab = len(reps_a) * len(reps_b)
+    dim_g = reps_b.shape[-1]
+
+    # w lines up the blocks (a⊗I_L)ξ·b, a-major, as columns: (LF, n_A·n_B·G).
+    x3 = xi.reshape(l_dim, dim_f, dim_g)
+    amb = np.einsum("aij,ljg->alig", reps_a, x3, optimize=True).reshape(
+        len(reps_a), l_dim * dim_f, dim_g)
+    w3 = np.einsum("axg,bgh->xabh", amb, reps_b, optimize=True).reshape(
+        l_dim * dim_f, n_ab, dim_g)
+    w = w3.reshape(l_dim * dim_f, -1)
+    v = orthonormal_columns(w, tol)
+    h_dim = v.shape[1]
+
+    vw = v.conj().T @ w
+    wc = np.einsum("xng,cgh->cxnh", w3, reps_c, optimize=True).reshape(
+        len(reps_c), l_dim * dim_f, -1)
+    target_small = v.conj().T @ wc
+    rhs = target_small.transpose(2, 0, 1).reshape(vw.shape[1], -1)
+    sol, _ = solve_least_squares(vw.T, rhs, tol)
+    r_small = sol.reshape(h_dim, len(reps_c), h_dim).transpose(1, 2, 0)
+    outside = v @ target_small
+    outside -= wc
+    total = np.maximum(frob_each(outside),
+                       frob_each(r_small @ vw - target_small))
+    scale = max(tol, 1e-8) * np.maximum(1.0, frob_each(wc))
+    failed = np.flatnonzero(total > scale)
+    if failed.size:
+        worst = float(total[failed[0]])
+        raise InconsistentSystem(
+            f"commutant lifting is not well-defined on the span "
+            f"(residual {worst:.3e})", worst)
+    return v @ r_small @ v.conj().T, v @ v.conj().T
 
 
 def dilation_from_extension(ctx: DualityContext, z: CPMap,
@@ -271,40 +311,7 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
             "the extension does not transport the states")
     ell = ell / np.linalg.norm(ell)
 
-    eye_l = np.eye(l_dim, dtype=np.complex128)
-    basis_a = coordinate_basis(ctx.source)
-    basis_b = coordinate_basis(ctx.target)
-    basis_c = coordinate_basis(ctx.target_commutant)
-
-    span_blocks = []
-    for a in basis_a:
-        amb = np.kron(eye_l, represent(a)) @ xi
-        for b in basis_b:
-            span_blocks.append(amb @ represent(b))
-    w = np.hstack(span_blocks)
-    v = orthonormal_columns(w, tol)
-    h_dim = v.shape[1]
-    p_h = v @ v.conj().T
-
-    vw = v.conj().T @ w
-    j_ops = np.zeros((len(basis_c), l_dim * dim_f, l_dim * dim_f),
-                     dtype=np.complex128)
-    rho_prime_small = np.zeros((len(basis_c), h_dim, h_dim), dtype=np.complex128)
-    for idx, c in enumerate(basis_c):
-        rc = represent(c)
-        wc = np.hstack([blk @ rc for blk in span_blocks])
-        target_small = v.conj().T @ wc
-        r_small, residual = solve_least_squares(vw.T, target_small.T, tol)
-        r_small = r_small.T
-        outside = frob(wc - v @ target_small)
-        consistency = frob(r_small @ vw - target_small)
-        total = max(outside, consistency)
-        if total > max(tol, 1e-8) * max(1.0, frob(wc)):
-            raise InconsistentSystem(
-                f"commutant lifting is not well-defined on the span "
-                f"(residual {total:.3e})", total)
-        rho_prime_small[idx] = r_small
-        j_ops[idx] = v @ r_small @ v.conj().T
+    j_ops, p_h = _commutant_lifting(ctx, xi, tol)
 
     if s_prime is None:
         s_prime = dual_map(ctx, tol)
@@ -327,22 +334,15 @@ def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,
     ell = d.psi_vector
     xi2 = np.kron(ell.reshape(-1, 1), np.eye(dim_f, dtype=np.complex128))
 
-    gns_vecs = []
-    for c_idx in range(d.j_ops.shape[0]):
-        jb = d.j_ops[c_idx]
-        for ap in coordinate_basis(a_comm):
-            gns_vecs.append((jb @ xi2 @ represent(ap)).reshape(-1))
-    rank_gns = matrix_rank(np.stack(gns_vecs, axis=1), tol)
+    reps = represent(coordinate_basis_stack(a_comm))
+    gns_vecs = np.einsum("cxf,pfh->cpxh", d.j_ops @ xi2, reps, optimize=True)
+    rank_gns = matrix_rank(gns_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
 
     j_unit = d.j(identity(s_prime.source))
-    full_vecs = []
-    for l in range(l_dim):
-        slot = np.zeros(l_dim, dtype=np.complex128)
-        slot[l] = 1.0
-        for ap in coordinate_basis(a_comm):
-            mat = np.kron(slot.reshape(-1, 1), represent(ap))
-            full_vecs.append((j_unit @ mat).reshape(-1))
-    rank_full = matrix_rank(np.stack(full_vecs, axis=1), tol)
+    full_vecs = np.einsum("xlf,pfh->lpxh",
+                          j_unit.reshape(l_dim * dim_f, l_dim, dim_f), reps,
+                          optimize=True)
+    rank_full = matrix_rank(full_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
     return rank_gns == rank_full
 
 

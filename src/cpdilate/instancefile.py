@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from .algebra import (AlgebraElement, MatrixBlockAlgebra, element,
-                      make_algebra)
+from .algebra import (AlgebraElement, MatrixBlockAlgebra, check_unit_vector,
+                      element, make_algebra)
 from .cpmap import CPMap, make_cpmap
 from .errors import InputError
 
@@ -109,6 +109,18 @@ class Instance:
                 raise InputError(f"context {name!r} references unknown map")
             if spec["f"] not in self.states or spec["g"] not in self.states:
                 raise InputError(f"context {name!r} references unknown states")
+            s = self.cp_maps[spec["map"]]
+            for key, side, space in (("f", "source", s.source),
+                                     ("g", "target", s.target)):
+                vec = self.states[spec[key]][1]
+                if vec.size != space.ambient_dim:
+                    raise InputError(
+                        f"context {name!r}: state {key} has dim {vec.size}, "
+                        f"the map's {side} acts on dim {space.ambient_dim}")
+                try:
+                    check_unit_vector(vec)
+                except ValueError as exc:
+                    raise InputError(f"context {name!r}: state {key}: {exc}") from exc
             self.contexts[name] = spec
         self.seeds = dict(raw.get("seeds", {}))
 

@@ -26,6 +26,12 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def frob_each(m) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack (…, N, N)."""
+    m = np.asarray(m)
+    return np.sqrt(np.sum(m.real ** 2 + m.imag ** 2, axis=(-2, -1)))
+
+
 def check_finite(m, what="matrix"):
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{what} contains NaN or Inf entries")

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import (AlgebraElement, commutant, coordinate_basis,
+from .algebra import (AlgebraElement, commutant, coordinate_basis_stack,
                       coordinates, identity, represent)
-from .cpmap import CPMap, apply
+from .cpmap import CPMap, basis_images
 from .errors import (BadSeed, DimensionCap, IncompleteQONS, NotCP,
                      NotInAlgebra, NotInTargetAlgebra)
-from .numerics import (DEFAULT_TOL, as_complex, frob, hermitian_eig,
-                       null_space, psd_functions)
+from .numerics import (DEFAULT_TOL, as_complex, frob, frob_each,
+                       hermitian_eig, null_space, psd_functions)
 
 H_DIM_CAP = 512
 
@@ -73,15 +73,20 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     if not s.is_cp:
         raise NotCP("GNS construction requires a completely positive map")
     source, target = s.source, s.target
-    basis_a = coordinate_basis(source)
-    n_a = len(basis_a)
+    n_a = source.coord_dim
     dim_g = target.ambient_dim
 
-    gram = np.zeros((n_a * dim_g, n_a * dim_g), dtype=np.complex128)
-    for i, x in enumerate(basis_a):
-        for j, y in enumerate(basis_a):
-            gram[i * dim_g:(i + 1) * dim_g, j * dim_g:(j + 1) * dim_g] = \
-                represent(apply(s, x.adjoint() @ y))
+    # For x_i = E_uv and x_j = E_u'v' of one block, x_i*·x_j = δ_uu'·E_vv';
+    # products across blocks vanish.  So the Gram form needs S only on the
+    # coordinate basis.
+    images = represent(basis_images(target, s.action))
+    gram = np.zeros((n_a, dim_g, n_a, dim_g), dtype=np.complex128)
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        span = slice(off, off + d * d)
+        tile = images[span].reshape(d, d, dim_g, dim_g)
+        gram[span, :, span, :] = np.einsum(
+            "uw,vygh->uvgwyh", np.eye(d), tile).reshape(d * d, dim_g, d * d, dim_g)
+    gram = gram.reshape(n_a * dim_g, n_a * dim_g)
 
     eig = hermitian_eig(gram, tol)
     kept = eig.values > tol * eig.scale
@@ -95,14 +100,17 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     q = (np.sqrt(lam)[:, None] * u.conj().T).reshape(h_dim, n_a, dim_g)
     lift = (u / np.sqrt(lam)[None, :]).reshape(n_a, dim_g, h_dim)
 
-    # ρ(x_b) sends x_c⊗g to x_b·x_c⊗g; x_b·x_c has coordinates prods[b, c].
-    prods = alg_mod.structure_constants(source)
-    rho_ops = np.einsum("hag,bca,cgk->bhk", q, prods, lift, optimize=True)
+    # ρ(E_uv) sends [E_v'z⊗g] to δ_vv'·[E_uz⊗g], one block of A at a time.
+    rho_ops = np.empty((n_a, h_dim, h_dim), dtype=np.complex128)
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        span = slice(off, off + d * d)
+        rho_ops[span] = np.einsum(
+            "huzg,vzgk->uvhk", q[:, span].reshape(h_dim, d, d, dim_g),
+            lift[span].reshape(d, d, dim_g, h_dim),
+            optimize=True).reshape(d * d, h_dim, h_dim)
 
-    target_comm = commutant(target)
-    comm_reps = np.stack([represent(c) for c in coordinate_basis(target_comm)])
-    rho_prime_ops = np.einsum("hag,cgf,afk->chk", q, comm_reps, lift,
-                              optimize=True)
+    # ρ'(c) sends [x⊗g] to [x⊗c·g].
+    rho_prime_ops = alg_mod.basis_sandwich(commutant(target), q, lift)
 
     xi = np.einsum("hag,a->hg", q, coordinates(identity(source)))
 
@@ -146,12 +154,10 @@ def _intertwiner_dimension(data: GNSData, tol: float) -> int:
 
 def _module_basis(s: CPMap, rho_ops, xi, tol: float) -> np.ndarray:
     """HS-orthonormal basis of span{ρ(a)·ξ·b}, in fixed candidate order."""
-    reps_b = [represent(y) for y in coordinate_basis(s.target)]
+    reps_b = represent(coordinate_basis_stack(s.target))
     picked = []
-    for i in range(rho_ops.shape[0]):
-        left = rho_ops[i] @ xi
-        for rb in reps_b:
-            cand = left @ rb
+    for left in rho_ops @ xi:
+        for cand in left @ reps_b:
             w = cand.copy()
             for _ in range(2):  # two GS passes keep the drop test clean
                 for b in picked:
@@ -247,13 +253,17 @@ class QONS:
 
 
 def _qons_relation_residual(elements, projections) -> float:
-    worst = 0.0
-    for i, ei in enumerate(elements):
-        for j, ej in enumerate(elements):
-            prod = ei.conj().T @ ej
-            expect = represent(projections[i]) if i == j else 0.0
-            worst = max(worst, frob(prod - expect))
-    return worst
+    """max over all pairs of ‖e_i*·e_j − δ_ij·p_i‖."""
+    if not elements:
+        return 0.0
+    e = np.stack(elements)
+    prods = np.einsum("ihg,jhf->ijgf", e.conj(), e, optimize=True)
+    k = len(elements)
+    alg = projections[0].algebra
+    p = alg_mod.element_from_coordinates(
+        alg, np.stack([coordinates(x) for x in projections]))
+    prods[np.arange(k), np.arange(k)] -= represent(p)
+    return float(np.max(frob_each(prods)))
 
 
 def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cpdilate.algebra import (commutant, conditional_expectation,
-                              coordinate_basis, coordinates, decompose,
+from cpdilate.algebra import (adjoint_permutation, basis_sandwich, commutant,
+                              conditional_expectation, coordinate_basis,
+                              coordinate_basis_stack, coordinates, decompose,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
                               represent, state_value, structure_constants,
@@ -245,3 +248,120 @@ class TestElementOps:
     def test_state_value(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         assert_allclose(state_value(v, np.diag([1.0, 3.0])), 2.0)
+
+
+def loop_represent(alg, coords):
+    """Ambient matrix of one coordinate vector, one np.kron per block."""
+    out = np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
+    pos = 0
+    for (d, m), off in zip(alg.blocks, alg.coord_offsets()):
+        b = coords[off:off + d * d].reshape(d, d)
+        out[pos:pos + d * m, pos:pos + d * m] = (
+            np.kron(np.eye(m), b) if alg.flipped else np.kron(b, np.eye(m)))
+        pos += d * m
+    return out
+
+
+def loop_project(alg, m):
+    """Coordinates and residual of the projection of one matrix, by the
+    partial trace of each diagonal block."""
+    coords, pos = [], 0
+    for d, mult in alg.blocks:
+        blk = m[pos:pos + d * mult, pos:pos + d * mult]
+        if alg.flipped:
+            c = np.einsum("asat->st", blk.reshape(mult, d, mult, d))
+        else:
+            c = np.einsum("rsus->ru", blk.reshape(d, mult, d, mult))
+        coords.append(c.reshape(-1) / mult)
+        pos += d * mult
+    coords = np.concatenate(coords)
+    return coords, np.linalg.norm(m - loop_represent(alg, coords))
+
+
+BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  min_size=1, max_size=3)
+BATCH = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+def _algebra(blocks, flipped):
+    alg = make_algebra(blocks)
+    return commutant(alg) if flipped else alg
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBatchedKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(BLOCKS, st.booleans(), BATCH, st.integers(0, 2**32 - 1))
+    def test_represent_equals_per_matrix_loop(self, blocks, flipped, batch, seed):
+        alg = _algebra(blocks, flipped)
+        coords = _complex(np.random.default_rng(seed), batch + (alg.coord_dim,))
+        stacked = represent(element_from_coordinates(alg, coords))
+        assert stacked.shape == batch + (alg.ambient_dim, alg.ambient_dim)
+        for idx in np.ndindex(*batch):
+            assert_allclose(stacked[idx], loop_represent(alg, coords[idx]),
+                            rtol=0, atol=1e-13)
+        assert_allclose(coordinates(element_from_coordinates(alg, coords)),
+                        coords, rtol=0, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(BLOCKS, st.booleans(), BATCH, st.integers(0, 2**32 - 1))
+    def test_projection_equals_per_matrix_loop(self, blocks, flipped, batch, seed):
+        alg = _algebra(blocks, flipped)
+        rng = np.random.default_rng(seed)
+        n = alg.ambient_dim
+        # members of the algebra plus a random perturbation of each
+        m = (represent(element_from_coordinates(
+            alg, _complex(rng, batch + (alg.coord_dim,))))
+            + 0.1 * _complex(rng, batch + (n, n)))
+        el, residual = project_to_algebra(alg, m)
+        assert np.shape(residual) == batch
+        for idx in np.ndindex(*batch):
+            ref_coords, ref_residual = loop_project(alg, m[idx])
+            assert_allclose(coordinates(el)[idx], ref_coords, rtol=0, atol=1e-13)
+            assert abs(np.asarray(residual)[idx] - ref_residual) <= 1e-13
+            single, single_residual = project_to_algebra(alg, m[idx])
+            assert isinstance(single_residual, float)
+            assert abs(single_residual - ref_residual) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(BLOCKS, st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_basis_sandwich_equals_dense_basis_contraction(self, blocks, flipped,
+                                                           a_dim, seed):
+        alg = _algebra(blocks, flipped)
+        rng = np.random.default_rng(seed)
+        n = alg.ambient_dim
+        left, right = _complex(rng, (2, a_dim, n)), _complex(rng, (a_dim, n, 3))
+        reps = np.stack([loop_represent(alg, c) for c in np.eye(alg.coord_dim)])
+        assert_allclose(basis_sandwich(alg, left, right),
+                        np.einsum("pag,cgf,afq->cpq", left, reps, right),
+                        rtol=0, atol=1e-12)
+
+    def test_decompose_names_the_first_stacked_matrix_that_fails(self):
+        alg = make_algebra([(1, 2)])
+        good = np.eye(2)
+        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert_allclose(coordinates(decompose(alg, np.stack([good, good]))),
+                        [[1.0], [1.0]])
+        with pytest.raises(NotInAlgebra) as exc:
+            decompose(alg, np.stack([good, bad, 2 * bad]))
+        assert exc.value.residual == pytest.approx(0.5)
+
+    def test_basis_stack_matches_basis_list(self):
+        for alg in (make_algebra([(2, 2), (1, 3)]), commutant(make_algebra([(2, 3)]))):
+            stacked = represent(coordinate_basis_stack(alg))
+            for i, x in enumerate(coordinate_basis(alg)):
+                assert_allclose(stacked[i], represent(x), rtol=0, atol=0)
+                adj = coordinate_basis(alg)[adjoint_permutation(alg)[i]]
+                assert_allclose(represent(adj), represent(x.adjoint()),
+                                rtol=0, atol=0)
+
+    def test_stacked_state_values(self, rng):
+        alg = make_algebra([(2, 2), (1, 1)])
+        v = _complex(rng, alg.ambient_dim)
+        stacked = represent(coordinate_basis_stack(alg))
+        values = state_value(v, stacked)
+        for i, x in enumerate(coordinate_basis(alg)):
+            assert abs(values[i] - state_value(v, represent(x))) <= 1e-13

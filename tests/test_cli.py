@@ -211,6 +211,37 @@ def test_timings_list_the_timed_stages(argv, stages, capsys):
     assert all(seconds >= 0.0 for seconds in timings.values())
 
 
+def _bad_context_instances():
+    """Worked examples whose context states are no unit vectors of the
+    map's spaces: f of norm √2, f on a one-dimensional space, and g on
+    the two-dimensional source space of a map into ℂ³."""
+    not_unit = copy.deepcopy(cli.BUILTIN_EXAMPLE)
+    not_unit["states"]["f"]["vector"] = [[1.0, 0.0], [1.0, 0.0]]
+    wrong_f = copy.deepcopy(cli.BUILTIN_EXAMPLE)
+    wrong_f["algebras"]["C"] = {"blocks": [{"dim": 1, "mult": 1}]}
+    wrong_f["states"]["f"] = {"space": "C", "vector": [[1.0, 0.0]]}
+    wrong_g = copy.deepcopy(cli.BUILTIN_EXAMPLE)
+    wrong_g["algebras"]["B"] = {"blocks": [{"dim": 1, "mult": 1}] * 3}
+    wrong_g["cp_maps"]["S"]["action"] = [[[1.0, 0.0], [0.0, 0.0]]] * 3
+    wrong_g["states"]["g"]["space"] = "A"
+    return {"not_unit": (not_unit, "expected a unit vector"),
+            "wrong_f": (wrong_f, "state f has dim 1"),
+            "wrong_g": (wrong_g, "state g has dim 2")}
+
+
+@pytest.mark.parametrize("command", ["dual", "verify"])
+@pytest.mark.parametrize("case", sorted(_bad_context_instances()))
+def test_context_states_off_the_map_spaces_are_input_errors(case, command,
+                                                           tmp_path):
+    raw, message = _bad_context_instances()[case]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    result = capture([command, "--input", str(path)])
+    assert result["code"] == 1
+    assert result["stderr"].startswith("input error: context 'uniform'")
+    assert message in result["stderr"]
+
+
 def test_text_comparison_tolerates_only_float_noise():
     _assert_text_close("max residual 1.000e-15)", "max residual 3.000e-15)", "t")
     with pytest.raises(AssertionError):

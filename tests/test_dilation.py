@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cpdilate.algebra import (coordinate_basis, coordinates, element,
-                              identity, make_algebra, represent)
+from cpdilate import dilation
+from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
+                              element, identity, make_algebra, represent)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
-from cpdilate.dilation import (WeakTensorDilation, nonunital_recovery,
-                               verify_dilation, weak_tensor_dilation)
+from cpdilate.dilation import (VERIFY_TOL, WeakTensorDilation,
+                               nonunital_recovery, verify_dilation,
+                               weak_tensor_dilation)
 from cpdilate.errors import NotUnital
 from cpdilate.sampling import random_standard_algebra, random_unital_cp_map
 from cpdilate.vnmodule import gns
@@ -121,6 +123,43 @@ class TestVerifyDilation:
         tampered = dataclasses.replace(d, j_ops=j_ops)
         cert = verify_dilation(tampered)
         assert abs(cert.membership - 1e-3) <= 2e-4
+
+    @pytest.mark.parametrize("target", [
+        make_algebra([(1, 1), (1, 1)]),
+        commutant(make_algebra([(2, 2)])),
+    ], ids=["diagonal", "flipped"])
+    def test_off_diagonal_k_block_out_of_b_is_caught(self, target, rng):
+        # entry (0, G-1) of B's ambient matrices is zero in both targets
+        s = random_unital_cp_map(rng, make_algebra([(2, 1)]), target)
+        d = weak_tensor_dilation(s)
+        assert d.certificate.membership <= VERIFY_TOL
+        g, k = target.ambient_dim, d.k_dim
+        assert k >= 2
+        j_ops = d.j_ops.copy()
+        j_ops[-1][0, (k - 1) * g + g - 1] += 1e-3  # K-block (0, K-1)
+        cert = verify_dilation(dataclasses.replace(d, j_ops=j_ops))
+        assert cert.membership > VERIFY_TOL
+        assert abs(cert.membership - 1e-3) <= 1e-9
+
+    def test_projection_calls_do_not_grow_with_k(self, rng, monkeypatch):
+        calls = []
+        real = dilation.project_to_algebra
+
+        def spy(alg, m):
+            calls.append(m.shape)
+            return real(alg, m)
+
+        monkeypatch.setattr(dilation, "project_to_algebra", spy)
+        counts, ks = [], []
+        for blocks in ([(1, 1), (1, 1)], [(2, 1)], [(3, 1)]):
+            alg = make_algebra(blocks)
+            d = weak_tensor_dilation(random_unital_cp_map(rng, alg, alg))
+            counts.append(len(calls))
+            ks.append(d.k_dim)
+            calls.clear()
+        assert len(set(ks)) == 3
+        # one batched projection covers all n_A·K² blocks
+        assert counts == [1, 1, 1]
 
     def test_certificate_reports_only(self, worked_map):
         d = weak_tensor_dilation(worked_map)

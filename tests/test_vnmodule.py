@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpdilate import vnmodule
 from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
-                              element, identity, make_algebra, represent)
+                              element, identity, make_algebra, represent,
+                              structure_constants)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
 from cpdilate.errors import BadSeed, NotCP, NotInTargetAlgebra
-from cpdilate.numerics import matrix_rank
+from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
                                intertwiner_space, module_element,
@@ -89,6 +91,67 @@ class TestGns:
         s = make_cpmap(alg, alg, np.stack(cols, axis=1))
         with pytest.raises(NotCP):
             gns(s)
+
+
+def structure_constant_gns(s, tol=DEFAULT_TOL):
+    """Gram eigenvalues, ρ and ρ' the long way: one represent(apply(...)) per
+    pair of basis elements for the Gram form, then single einsums over the
+    structure constants and over the stacked commutant basis."""
+    source, target = s.source, s.target
+    basis = coordinate_basis(source)
+    n_a, g = len(basis), target.ambient_dim
+    gram = np.zeros((n_a * g, n_a * g), dtype=complex)
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            gram[i * g:(i + 1) * g, j * g:(j + 1) * g] = \
+                represent(apply(s, x.adjoint() @ y))
+    eig = hermitian_eig(gram, tol)
+    kept = eig.values > tol * eig.scale
+    lam, u = eig.values[kept], eig.vectors[:, kept]
+    q = (np.sqrt(lam)[:, None] * u.conj().T).reshape(lam.size, n_a, g)
+    lift = (u / np.sqrt(lam)[None, :]).reshape(n_a, g, lam.size)
+    rho = np.einsum("hag,bca,cgk->bhk", q, structure_constants(source), lift,
+                    optimize=True)
+    comm_reps = np.stack([represent(c)
+                          for c in coordinate_basis(commutant(target))])
+    rho_prime = np.einsum("hag,cgf,afk->chk", q, comm_reps, lift,
+                          optimize=True)
+    return eig.values, rho, rho_prime
+
+
+class TestGnsKernels:
+    @pytest.mark.parametrize("source, target", [
+        (make_algebra([(3, 3)]), make_algebra([(1, 3), (1, 3)])),
+        (make_algebra([(2, 2), (1, 1)]), make_algebra([(2, 1), (1, 2)])),
+        (commutant(make_algebra([(1, 2), (1, 2)])),
+         commutant(make_algebra([(2, 2)]))),
+    ], ids=["M3xI3", "M2xI2+C", "flipped"])
+    def test_equal_to_structure_constant_einsums(self, source, target, rng):
+        s = random_unital_cp_map(rng, source, target)
+        data = gns(s)
+        values, rho, rho_prime = structure_constant_gns(s)
+        assert_allclose(data.gram_eigenvalues, values, rtol=0, atol=1e-12)
+        assert data.rho_ops.shape == rho.shape
+        assert_allclose(data.rho_ops, rho, rtol=0, atol=1e-12)
+        assert_allclose(data.rho_prime_ops, rho_prime, rtol=0, atol=1e-12)
+
+    def test_represent_calls_do_not_grow_with_the_source(self, rng, monkeypatch):
+        calls = []
+        real = vnmodule.represent
+
+        def spy(x):
+            calls.append(x.algebra)
+            return real(x)
+
+        monkeypatch.setattr(vnmodule, "represent", spy)
+        target = make_algebra([(2, 1)])
+        counts = []
+        for blocks in ([(1, 1)], [(2, 1)], [(3, 1)]):
+            calls.clear()
+            gns(random_unital_cp_map(rng, make_algebra(blocks), target))
+            counts.append(len(calls))
+        # n_A = 1, 4, 9: the Gram form alone took n_A² calls
+        assert counts[0] == counts[1] == counts[2] <= 2
 
 
 class TestInnerProduct:
@@ -242,6 +305,18 @@ class TestQons:
         total_rank = sum(int(round(np.real(np.trace(represent(p)))))
                          for p in system.projections)
         assert total_rank == worked_gns.h_dim
+
+    def test_relation_residual_is_the_pairwise_maximum(self, rng):
+        s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
+                                 make_algebra([(1, 2), (1, 1)]))
+        system = qons(gns(s))
+        worst = 0.0
+        for i, ei in enumerate(system.elements):
+            for j, ej in enumerate(system.elements):
+                expect = represent(system.projections[i]) if i == j else 0.0
+                worst = max(worst, np.linalg.norm(ei.conj().T @ ej - expect))
+        assert len(system) > 1
+        assert abs(system.relation_residual - worst) <= 1e-12
 
     def test_bad_seed_rejected(self, worked_gns):
         with pytest.raises(BadSeed):
