@@ -240,6 +240,14 @@ def basis_sandwich(alg: MatrixBlockAlgebra, left, right) -> np.ndarray:
     return out
 
 
+def basis_action(alg: MatrixBlockAlgebra, v) -> np.ndarray:
+    """x_c·v for every coordinate basis element x_c, stacked as rows (n, N),
+    without building the ambient matrices of the basis."""
+    v = as_complex(v).reshape(-1)
+    eye = np.eye(alg.ambient_dim)
+    return basis_sandwich(alg, eye[:, None, :], v[None, :, None])[:, :, 0]
+
+
 def adjoint_permutation(alg: MatrixBlockAlgebra) -> np.ndarray:
     """Index array p with x_{p[c]} = x_c* on the coordinate basis, since
     E_uv* = E_vu within each block."""
@@ -293,9 +301,7 @@ def decompose(alg: MatrixBlockAlgebra, m, tol: float = MEMBERSHIP_TOL) -> Algebr
 
 def is_cyclic(alg: MatrixBlockAlgebra, v, tol: float = DEFAULT_TOL) -> bool:
     """True iff span{x·v : x in the coordinate basis} is the ambient space."""
-    v = as_complex(v).reshape(-1)
-    cols = represent(coordinate_basis_stack(alg)) @ v
-    s = np.linalg.svd(cols.T, compute_uv=False)
+    s = np.linalg.svd(basis_action(alg, v).T, compute_uv=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax))
     return rank == alg.ambient_dim

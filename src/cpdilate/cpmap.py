@@ -124,7 +124,7 @@ def covariance_residual(s: CPMap, f, g) -> float:
     """max_a |φ_f(a) − φ_g(S(a))| over the source coordinate basis."""
     f = alg_mod.check_unit_vector(f)
     g = alg_mod.check_unit_vector(g)
-    lhs = state_value(f, represent(alg_mod.coordinate_basis_stack(s.source)))
+    lhs = alg_mod.basis_action(s.source, f) @ np.conj(f)
     rhs = state_value(g, represent(basis_images(s.target, s.action)))
     return float(np.max(np.abs(lhs - rhs)))
 

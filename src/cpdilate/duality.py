@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import (MatrixBlockAlgebra, check_unit_vector, commutant,
-                      coordinate_basis_stack, coordinates, decompose,
+from .algebra import (MatrixBlockAlgebra, basis_action, check_unit_vector,
+                      commutant, coordinate_basis_stack, coordinates, decompose,
                       identity, is_cyclic, make_algebra, represent,
                       state_value)
 from .cpmap import (CPMap, KrausForm, basis_images, covariance_residual,
@@ -80,7 +80,7 @@ def xi_prime(ctx: DualityContext, data: GNSData, tol: float = DEFAULT_TOL,
             f"states are not covariant (residual {ctx.covariance_residual:.3e})")
     if not ctx.f_cyclic_for_source and not allow_partial:
         raise NotCyclic("f is not cyclic for A")
-    lhs_rows = represent(coordinate_basis_stack(ctx.source)) @ ctx.f
+    lhs_rows = basis_action(ctx.source, ctx.f)
     rhs_rows = data.rho_ops @ (data.xi @ ctx.g)
     xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
     if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
@@ -116,11 +116,10 @@ def dual_pairing_residual(ctx: DualityContext, s_prime: CPMap) -> float:
     """max |φ_g(b'·S(a)) − φ_f(S'(b')·a)| over both coordinate bases."""
     reps_b = represent(coordinate_basis_stack(ctx.target_commutant))
     reps_sb = represent(basis_images(s_prime.target, s_prime.action))
-    reps_a = represent(coordinate_basis_stack(ctx.source))
     reps_sa = represent(basis_images(ctx.target, ctx.cpmap.action))
     # ⟨v, x·y v⟩ = (v*x)·(y v) for every pair (x, y) of two stacks.
     lhs = (np.conj(ctx.g) @ reps_b) @ (reps_sa @ ctx.g).T
-    rhs = (np.conj(ctx.f) @ reps_sb) @ (reps_a @ ctx.f).T
+    rhs = (np.conj(ctx.f) @ reps_sb) @ basis_action(ctx.source, ctx.f).T
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -128,8 +127,7 @@ def state_transport_residual(ctx: DualityContext, s_prime: CPMap) -> float:
     """max |φ_f(S'(b')) − φ_g(b')| over the commutant coordinate basis."""
     lhs = state_value(ctx.f, represent(basis_images(s_prime.target,
                                                     s_prime.action)))
-    rhs = state_value(ctx.g, represent(coordinate_basis_stack(
-        ctx.target_commutant)))
+    rhs = basis_action(ctx.target_commutant, ctx.g) @ np.conj(ctx.g)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -205,7 +203,7 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
         raise NotCyclic("g is not cyclic for B'")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
 
-    lhs_rows = represent(coordinate_basis_stack(ctx.target_commutant)) @ ctx.g
+    lhs_rows = basis_action(ctx.target_commutant, ctx.g)
     rhs_rows = d_prime.j_ops @ anchor
     xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
     if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):

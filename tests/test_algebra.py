@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cpdilate.algebra import (adjoint_permutation, basis_sandwich, commutant,
+from cpdilate.algebra import (adjoint_permutation, basis_action,
+                              basis_sandwich, commutant,
                               conditional_expectation, coordinate_basis,
                               coordinate_basis_stack, coordinates, decompose,
                               element, element_from_coordinates, identity,
@@ -338,6 +339,16 @@ class TestBatchedKernels:
         assert_allclose(basis_sandwich(alg, left, right),
                         np.einsum("pag,cgf,afq->cpq", left, reps, right),
                         rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BLOCKS, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_basis_action_equals_per_matrix_loop(self, blocks, flipped, seed):
+        alg = _algebra(blocks, flipped)
+        v = _complex(np.random.default_rng(seed), alg.ambient_dim)
+        rows = basis_action(alg, v)
+        for c, coords in enumerate(np.eye(alg.coord_dim)):
+            assert_allclose(rows[c], loop_represent(alg, coords) @ v,
+                            rtol=0, atol=1e-13)
 
     def test_decompose_names_the_first_stacked_matrix_that_fails(self):
         alg = make_algebra([(1, 2)])
