@@ -60,6 +60,9 @@ def _cases():
             cases.append([command, "--builtin", "--json", "--emit-matrices"])
         cases += [[command, "--random", "--rng-seed", str(seed), "--json"]
                   for seed in range(5)]
+    # sources with blocks of dim >= 2, so the emitted j pins the GNS basis
+    cases += [["dilate", "--random", "--rng-seed", str(seed), "--json",
+               "--emit-matrices"] for seed in (0, 1, 4)]
     cases += [
         ["dilate", "--random", "--rng-seed", "2"],
         ["dilate", "--builtin", "--seed-qons", "standard", "--json"],
