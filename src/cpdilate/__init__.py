@@ -23,7 +23,7 @@ from .duality import (DualityContext, Extension, build_context,
                       extend_cp_map, extension_from_dilation,
                       is_minimal_dilation, xi_prime)
 from .vnmodule import (GNSData, ModuleEmbedding, QONS, embed_qons, gns,
-                       inner_product, intertwiner_space, module_element,
-                       polar_decompose_module, qons)
+                       inner_product, module_element, polar_decompose_module,
+                       qons)
 
 __version__ = "0.1.0"

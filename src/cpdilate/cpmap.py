@@ -1,9 +1,10 @@
 """Completely positive maps between multi-matrix algebras.
 
 A map is stored as a coordinate action matrix.  Complete positivity is
-certified blockwise through Choi matrices over the source matrix units;
-for maps between full algebras a deterministic Kraus/Stinespring form is
-derived from the Choi eigendecomposition.
+certified blockwise through Choi matrices over the source matrix units.
+Their eigendecompositions are kept and are the one Stinespring
+factorization of the map: ``stinespring_blocks`` cuts them once, and both
+the GNS construction and the Kraus form read from it.
 """
 
 from dataclasses import dataclass, field
@@ -25,13 +26,15 @@ class CPMap:
 
     ``action`` sends source coordinates to target coordinates.  ``is_cp``
     and ``is_unital`` are verification flags, not promises: building a map
-    that fails them is allowed, and the flags say so.
+    that fails them is allowed, and the flags say so.  ``choi_eigs`` holds
+    the ``HermitianEig`` of each entry of ``choi_blocks``.
     """
 
     source: MatrixBlockAlgebra
     target: MatrixBlockAlgebra
     action: np.ndarray
     choi_blocks: tuple = field(repr=False)
+    choi_eigs: tuple = field(repr=False)
     is_cp: bool = True
     is_unital: bool = True
     choi_min_eigenvalue: float = 0.0
@@ -78,7 +81,7 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
 
     # Per-source-block Choi matrices; CP iff all are PSD.
     applied_all = represent(images)
-    choi_blocks = []
+    choi_blocks, choi_eigs = [], []
     min_eig = np.inf
     for off, (d, _) in zip(source.coord_offsets(), source.blocks):
         c = _choi_block(d, applied_all[off:off + d * d])
@@ -86,6 +89,7 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
         lam_min = float(eig.values[-1])
         min_eig = min(min_eig, lam_min if eig.values.size else 0.0)
         choi_blocks.append(c)
+        choi_eigs.append(eig)
     choi_scale = max(frob(c) for c in choi_blocks)
     is_cp = bool(min_eig >= -tol * max(choi_scale, 1.0))
 
@@ -93,8 +97,28 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     is_unital = bool(np.linalg.norm(unit_diff) <= tol * max(1.0, np.sqrt(target.coord_dim)))
 
     return CPMap(source=source, target=target, action=action,
-                 choi_blocks=tuple(choi_blocks), is_cp=is_cp,
+                 choi_blocks=tuple(choi_blocks), choi_eigs=tuple(choi_eigs),
+                 is_cp=is_cp,
                  is_unital=is_unital, choi_min_eigenvalue=float(min_eig))
+
+
+def stinespring_blocks(s: CPMap, tol: float = DEFAULT_TOL) -> list:
+    """Kept Choi eigenpairs of each source block, as a list of (λ, ops).
+
+    The rank cut is made once for the whole map: eigenvalues above
+    tol × the largest Choi eigenvalue over all blocks are kept.  For the
+    kept eigenvector w_k of C_i, ops[k] = conj(√λ_k·w_k) as a d_i×G
+    matrix, so ``ops`` is (r_i, d_i, G) and S(E_uv) = Σ_k ops[k, u]*·ops[k, v].
+    """
+    threshold = tol * max(eig.scale for eig in s.choi_eigs)
+    dim_g = s.target.ambient_dim
+    out = []
+    for (d, _), eig in zip(s.source.blocks, s.choi_eigs):
+        kept = eig.values > threshold
+        lam = eig.values[kept]
+        ops = np.conj((np.sqrt(lam) * eig.vectors[:, kept]).T).reshape(-1, d, dim_g)
+        out.append((lam, ops))
+    return out
 
 
 def basis_images(target: MatrixBlockAlgebra, action) -> AlgebraElement:
@@ -153,37 +177,25 @@ class KrausForm:
 def kraus_decomposition(z: CPMap, tol: float = DEFAULT_TOL) -> KrausForm:
     """Deterministic Kraus form of a CP map between full matrix algebras.
 
-    The Choi matrix is eigendecomposed with descending eigenvalues and
-    canonical phases; L is its numerical rank.  Eigenvalue clusters make
-    individual operators basis-dependent, but the span and the isometry's
-    range are not.
+    The operators are those of ``stinespring_blocks``, built from the Choi
+    eigenpairs ``make_cpmap`` computed (descending eigenvalues, canonical
+    phases); L is the numerical rank of the Choi matrix.  Eigenvalue
+    clusters make individual operators basis-dependent, but the span and
+    the isometry's range are not.
     """
     if not (z.source.is_full() and z.target.is_full()):
         raise NotFullAlgebra("Kraus form requires full single-block algebras")
     if not z.is_cp:
         raise NotCP("map is not completely positive")
-    dim_f = z.source.blocks[0][0]
     dim_g = z.target.blocks[0][0]
-    choi = z.choi_blocks[0]
-    eig = hermitian_eig(choi, tol)
-    threshold = tol * eig.scale
-    kept = eig.values > threshold
-    l_dim = int(np.count_nonzero(kept))
-    ops = []
-    for k in range(l_dim):
-        vec = np.sqrt(eig.values[k]) * eig.vectors[:, k]
-        ops.append(np.conj(vec.reshape(dim_f, dim_g)))
-    isometry = (np.vstack(ops) if ops
-                else np.zeros((0, dim_g), dtype=np.complex128))
+    (_, stack), = stinespring_blocks(z, tol)
+    ops = list(stack)
+    l_dim = len(ops)
+    isometry = stack.reshape(-1, dim_g)
 
     direct = represent(basis_images(z.target, z.action))
-    if ops:
-        # Σ_k op_k* E_uv op_k has entries conj(op_k[u, g])·op_k[v, h].
-        stacked = np.stack(ops)
-        summed = np.einsum("kug,kvh->uvgh", stacked.conj(), stacked).reshape(
-            direct.shape)
-    else:
-        summed = np.zeros_like(direct)
+    # Σ_k op_k* E_uv op_k has entries conj(op_k[u, g])·op_k[v, h].
+    summed = np.einsum("kug,kvh->uvgh", stack.conj(), stack).reshape(direct.shape)
     recon = float(np.max(frob_each(direct - summed)))
     complete = frob(sum(op.conj().T @ op for op in ops) - np.eye(dim_g)) if ops else float(dim_g)
     return KrausForm(l_dim=l_dim, operators=tuple(ops), isometry=isometry,

@@ -126,22 +126,6 @@ def psd_functions(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> Ps
                         rank=int(np.count_nonzero(kept)))
 
 
-def null_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of ``m``.
-
-    The rank cut is at singular values > tol·σ_max, so the zero matrix
-    returns the full space and an injective matrix returns an empty basis.
-    """
-    m = as_complex(m)
-    check_finite(m)
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
-    return vh[rank:].conj().T
-
-
 def solve_least_squares(a, b, tol: float = DEFAULT_TOL):
     """Minimal-norm least-squares solution of ``a @ x = b``.
 

@@ -1,7 +1,10 @@
 """GNS/Stinespring construction and concrete von Neumann modules.
 
 For a CP map S: A → B (B acting on G) the GNS space H is the quotient of
-A⊗G by the null space of the Gram form ⟨a⊗g, a'⊗g'⟩ = ⟨g, S(a*a')g'⟩.  The
+A⊗G by the null space of the Gram form ⟨a⊗g, a'⊗g'⟩ = ⟨g, S(a*a')g'⟩.  On
+the matrix units of A that form is ⊕_i I_{d_i}⊗C_i for the Choi blocks C_i,
+so H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i} is read off the Choi eigenpairs the map already
+holds, with r_i = rank C_i under one relative cut.  The
 module E is realized as a space of operators G → H spanned by ρ(a)·ξ·b;
 it carries the B-valued inner product ⟨x, y⟩ = x*y, the Stinespring
 representation ρ of A, and the commutant lifting ρ' of B'.  Complete
@@ -15,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg_mod
-from .algebra import (AlgebraElement, commutant, coordinate_basis_stack,
-                      coordinates, identity, represent)
-from .cpmap import CPMap, basis_images
+from .algebra import (AlgebraElement, MatrixBlockAlgebra, commutant,
+                      coordinate_basis_stack, coordinates, represent)
+from .cpmap import CPMap, stinespring_blocks
 from .errors import (BadSeed, DimensionCap, IncompleteQONS, NotCP,
                      NotInAlgebra, NotInTargetAlgebra)
 from .numerics import (DEFAULT_TOL, as_complex, frob, frob_each,
-                       hermitian_eig, null_space, psd_functions)
+                       hermitian_eig, psd_functions)
 
 H_DIM_CAP = 512
 
@@ -65,60 +68,46 @@ class GNSData:
 def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     """GNS/Stinespring construction for a CP map.
 
-    H is the range of the Gram form (eigenvalues > tol·‖Gram‖ kept), ρ acts
-    by left multiplication, ρ' by the right action of the target commutant,
-    and ξg = [1⊗g].  Raises NotCP when the map's flag is unset and
-    DimensionCap when the rank exceeds ``h_cap``.
+    H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i}, one summand per source block, where r_i is
+    the number of Choi eigenvalues of block i kept by the single cut of
+    ``stinespring_blocks``.  ρ(E_uv) = E_uv ⊗ I_{r_i}, the row (u, k) of
+    ξ is ops[k, u], and ρ'(c) = I_{d_i} ⊗ Σ_v ops[:, v]·c·ops[:, v]*/λ.
+    Raises NotCP when the map's flag is unset and DimensionCap, before
+    anything of size H is allocated, when H exceeds ``h_cap``.
     """
     if not s.is_cp:
         raise NotCP("GNS construction requires a completely positive map")
     source, target = s.source, s.target
-    n_a = source.coord_dim
-    dim_g = target.ambient_dim
-
-    # For x_i = E_uv and x_j = E_u'v' of one block, x_i*·x_j = δ_uu'·E_vv';
-    # products across blocks vanish.  So the Gram form needs S only on the
-    # coordinate basis.
-    images = represent(basis_images(target, s.action))
-    gram = np.zeros((n_a, dim_g, n_a, dim_g), dtype=np.complex128)
-    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
-        span = slice(off, off + d * d)
-        tile = images[span].reshape(d, d, dim_g, dim_g)
-        gram[span, :, span, :] = np.einsum(
-            "uw,vygh->uvgwyh", np.eye(d), tile).reshape(d * d, dim_g, d * d, dim_g)
-    gram = gram.reshape(n_a * dim_g, n_a * dim_g)
-
-    eig = hermitian_eig(gram, tol)
-    kept = eig.values > tol * eig.scale
-    h_dim = int(np.count_nonzero(kept))
+    blocks = stinespring_blocks(s, tol)
+    # The Gram form on A⊗G is ⊕_i I_{d_i}⊗C_i, so H carries the source
+    # blocks with multiplicities r_i.
+    h_alg = MatrixBlockAlgebra(blocks=tuple(
+        (d, lam.size) for (d, _), (lam, _) in zip(source.blocks, blocks)))
+    h_dim = h_alg.ambient_dim
     if h_dim > h_cap:
         raise DimensionCap(f"GNS dimension {h_dim} exceeds cap {h_cap}")
-    lam = eig.values[kept]
-    u = eig.vectors[:, kept]
-    # q maps A⊗G coordinates onto H isometrically for the Gram form;
-    # lift is its right inverse supported on the kept eigenspace.
-    q = (np.sqrt(lam)[:, None] * u.conj().T).reshape(h_dim, n_a, dim_g)
-    lift = (u / np.sqrt(lam)[None, :]).reshape(n_a, dim_g, h_dim)
 
-    # ρ(E_uv) sends [E_v'z⊗g] to δ_vv'·[E_uz⊗g], one block of A at a time.
-    rho_ops = np.empty((n_a, h_dim, h_dim), dtype=np.complex128)
-    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
-        span = slice(off, off + d * d)
-        rho_ops[span] = np.einsum(
-            "huzg,vzgk->uvhk", q[:, span].reshape(h_dim, d, d, dim_g),
-            lift[span].reshape(d, d, dim_g, h_dim),
-            optimize=True).reshape(d * d, h_dim, h_dim)
+    rho_ops = represent(coordinate_basis_stack(h_alg))
+    xi = np.concatenate([ops.transpose(1, 0, 2).reshape(-1, target.ambient_dim)
+                         for _, ops in blocks])
+    target_comm = commutant(target)
+    rho_prime_ops = np.zeros((target_comm.coord_dim, h_dim, h_dim),
+                             dtype=np.complex128)
+    pos = 0
+    for (d, r), (lam, ops) in zip(h_alg.blocks, blocks):
+        small = alg_mod.basis_sandwich(target_comm, ops,
+                                       ops.conj().transpose(1, 2, 0) / lam)
+        rho_prime_ops[:, pos:pos + d * r, pos:pos + d * r] = np.einsum(
+            "uw,ckl->cukwl", np.eye(d), small).reshape(len(small), d * r, d * r)
+        pos += d * r
 
-    # ρ'(c) sends [x⊗g] to [x⊗c·g].
-    rho_prime_ops = alg_mod.basis_sandwich(commutant(target), q, lift)
-
-    xi = np.einsum("hag,a->hg", q, coordinates(identity(source)))
-
-    module_basis = _module_basis(s, rho_ops, xi, tol)
+    module_basis = _module_basis(s, blocks, tol)
+    gram_eigenvalues = np.sort(np.concatenate(
+        [np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
 
     data = GNSData(cpmap=s, h_dim=h_dim, rho_ops=rho_ops,
                    rho_prime_ops=rho_prime_ops, xi=xi,
-                   module_basis=module_basis, gram_eigenvalues=eig.values)
+                   module_basis=module_basis, gram_eigenvalues=gram_eigenvalues)
 
     expected = _intertwiner_dimension(data, tol)
     if expected != module_basis.shape[0]:
@@ -152,22 +141,38 @@ def _intertwiner_dimension(data: GNSData, tol: float) -> int:
     return total
 
 
-def _module_basis(s: CPMap, rho_ops, xi, tol: float) -> np.ndarray:
-    """HS-orthonormal basis of span{ρ(a)·ξ·b}, in fixed candidate order."""
+def _module_basis(s: CPMap, blocks, tol: float) -> np.ndarray:
+    """HS-orthonormal basis of span{ρ(a)·ξ·b}, in fixed candidate order.
+
+    On block i of H, ρ(E_uv)·ξ·b = e_u ⊗ (ops[:, v]·b), so the module is
+    ⊕_i ℂ^{d_i}⊗V_i with V_i = span{ops[:, v]·b}.  Gram–Schmidt runs once
+    per block over v, then b, and each result is tensored with every e_u.
+    """
     reps_b = represent(coordinate_basis_stack(s.target))
-    picked = []
-    for left in rho_ops @ xi:
-        for cand in left @ reps_b:
-            w = cand.copy()
-            for _ in range(2):  # two GS passes keep the drop test clean
-                for b in picked:
-                    w -= b * np.vdot(b, w)
-            nw = frob(w)
-            if nw > tol * max(1.0, frob(cand)):
-                picked.append(w / nw)
-    if not picked:
+    h_dim = sum(ops.shape[0] * ops.shape[1] for _, ops in blocks)
+    out = []
+    pos = 0
+    for _, ops in blocks:
+        r, d, dim_g = ops.shape
+        picked = []
+        for left in ops.transpose(1, 0, 2):
+            for cand in left @ reps_b:
+                w = cand.copy()
+                for _ in range(2):  # two GS passes keep the drop test clean
+                    for b in picked:
+                        w -= b * np.vdot(b, w)
+                nw = frob(w)
+                if nw > tol * max(1.0, frob(cand)):
+                    picked.append(w / nw)
+        for u in range(d):
+            for w in picked:
+                x = np.zeros((h_dim, dim_g), dtype=np.complex128)
+                x[pos + u * r:pos + (u + 1) * r] = w
+                out.append(x)
+        pos += d * r
+    if not out:
         raise ArithmeticError("empty module span")
-    return np.stack(picked)
+    return np.stack(out)
 
 
 def module_element(data: GNSData, a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
@@ -188,25 +193,6 @@ def inner_product(data: GNSData, x, y, tol: float = DEFAULT_TOL) -> AlgebraEleme
         return alg_mod.decompose(data.target, prod, max(tol, 1e-9))
     except NotInAlgebra as exc:
         raise NotInTargetAlgebra(str(exc), exc.residual) from exc
-
-
-def intertwiner_space(left_ops, right_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal basis of {x : L_k x = x R_k for all k}.
-
-    ``left_ops`` is (n, H, H), ``right_mats`` is (n, G, G); the result is
-    (dim, H, G).  Used with the commutant lifting to recover the module and,
-    with roles exchanged, to compute the commutant module.
-    """
-    left_ops = as_complex(left_ops)
-    right_mats = as_complex(right_mats)
-    n, h, _ = left_ops.shape
-    g = right_mats.shape[-1]
-    eye_h = np.eye(h, dtype=np.complex128)
-    eye_g = np.eye(g, dtype=np.complex128)
-    rows = [np.kron(left_ops[k], eye_g) - np.kron(eye_h, right_mats[k].T)
-            for k in range(n)]
-    ns = null_space(np.vstack(rows), tol)
-    return ns.T.reshape(-1, h, g)
 
 
 def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):

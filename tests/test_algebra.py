@@ -13,7 +13,8 @@ from cpdilate.algebra import (adjoint_permutation, basis_action,
                               represent, state_value, structure_constants,
                               tensor_with_factor, zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
-from cpdilate.numerics import null_space
+
+from conftest import null_space
 
 
 class TestMakeAlgebra:

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate.errors import NonFinite, NonHermitian, NotPSD
-from cpdilate.numerics import (hermitian_eig, matrix_rank, null_space,
-                               psd_functions, solve_least_squares)
+from cpdilate.numerics import (hermitian_eig, matrix_rank, psd_functions,
+                               solve_least_squares)
 
-from conftest import random_hermitian, random_psd
+from conftest import null_space, random_hermitian, random_psd
 
 
 class TestHermitianEig:

@@ -11,8 +11,9 @@ from cpdilate.errors import BadSeed, NotCP, NotInTargetAlgebra
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
-                               intertwiner_space, module_element,
-                               polar_decompose_module, qons)
+                               module_element, polar_decompose_module, qons)
+
+from conftest import intertwiner_space
 
 
 @pytest.fixture
@@ -94,9 +95,10 @@ class TestGns:
 
 
 def structure_constant_gns(s, tol=DEFAULT_TOL):
-    """Gram eigenvalues, ρ and ρ' the long way: one represent(apply(...)) per
-    pair of basis elements for the Gram form, then single einsums over the
-    structure constants and over the stacked commutant basis."""
+    """Gram eigenvalues, ρ, ρ' and ξ the long way: one represent(apply(...))
+    per pair of basis elements for the Gram form, its eigendecomposition,
+    then single einsums over the structure constants and over the stacked
+    commutant basis."""
     source, target = s.source, s.target
     basis = coordinate_basis(source)
     n_a, g = len(basis), target.ambient_dim
@@ -116,7 +118,15 @@ def structure_constant_gns(s, tol=DEFAULT_TOL):
                           for c in coordinate_basis(commutant(target))])
     rho_prime = np.einsum("hag,cgf,afk->chk", q, comm_reps, lift,
                           optimize=True)
-    return eig.values, rho, rho_prime
+    xi = np.einsum("hag,a->hg", q, coordinates(identity(source)))
+    return eig.values, rho, rho_prime, xi
+
+
+def sandwiched_products(rho, rho_prime, xi):
+    """ξ*·ρ(x_a)·ρ'(x_c)·ξ for every pair of basis elements (a, c); these
+    do not depend on the basis chosen for H."""
+    return np.einsum("hg,ahk,ckl,lf->acgf", xi.conj(), rho, rho_prime, xi,
+                     optimize=True)
 
 
 class TestGnsKernels:
@@ -127,13 +137,16 @@ class TestGnsKernels:
          commutant(make_algebra([(2, 2)]))),
     ], ids=["M3xI3", "M2xI2+C", "flipped"])
     def test_equal_to_structure_constant_einsums(self, source, target, rng):
+        # The basis of H is free; with minimality these pin (H, ρ, ρ', ξ)
+        # up to unitary equivalence.
         s = random_unital_cp_map(rng, source, target)
         data = gns(s)
-        values, rho, rho_prime = structure_constant_gns(s)
+        values, rho, rho_prime, xi = structure_constant_gns(s)
+        assert data.h_dim == rho.shape[1]
         assert_allclose(data.gram_eigenvalues, values, rtol=0, atol=1e-12)
-        assert data.rho_ops.shape == rho.shape
-        assert_allclose(data.rho_ops, rho, rtol=0, atol=1e-12)
-        assert_allclose(data.rho_prime_ops, rho_prime, rtol=0, atol=1e-12)
+        assert_allclose(
+            sandwiched_products(data.rho_ops, data.rho_prime_ops, data.xi),
+            sandwiched_products(rho, rho_prime, xi), rtol=0, atol=1e-12)
 
     def test_represent_calls_do_not_grow_with_the_source(self, rng, monkeypatch):
         calls = []
