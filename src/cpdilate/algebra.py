@@ -59,7 +59,9 @@ class MatrixBlockAlgebra:
 
 
 def make_algebra(blocks, ambient_cap: int = AMBIENT_CAP) -> MatrixBlockAlgebra:
-    """Build a standard-form algebra from (dim, mult) pairs."""
+    """Build a standard-form algebra from (dim, mult) pairs of integers."""
+    if any(int(x) != x for block in blocks for x in block):
+        raise ValueError(f"block dims and multiplicities must be integers, got {blocks}")
     blocks = tuple((int(d), int(m)) for d, m in blocks)
     if not blocks:
         raise ValueError("algebra needs at least one block")

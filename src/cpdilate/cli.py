@@ -108,9 +108,7 @@ class _Timer:
 def _tolerances(instance: Instance | None, factor: float) -> dict:
     tols = dict(STAGE_TOLERANCES)
     if instance is not None:
-        for key, value in instance.tolerances.items():
-            if key in tols:
-                tols[key] = float(value)
+        tols.update((k, v) for k, v in instance.tolerances.items() if k in tols)
     return {k: v * factor for k, v in tols.items()}
 
 

@@ -17,12 +17,17 @@ from .cpmap import CPMap, make_cpmap
 from .errors import InputError
 
 SCHEMA_VERSION = 1
+# What parsing raises on an entry of the wrong type or shape, or a missing key.
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def _complex_from_pair(pair):
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise InputError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    z = complex(float(pair[0]), float(pair[1]))
+    if not np.isfinite(z):
+        raise InputError(f"expected a finite [re, im] pair, got {pair!r}")
+    return z
 
 
 def _vector_from_json(entries) -> np.ndarray:
@@ -70,7 +75,8 @@ class Instance:
             raise InputError(f"unsupported schema {raw.get('schema')!r}, "
                              f"expected {SCHEMA_VERSION}")
         self.raw = raw
-        self.tolerances = dict(raw.get("tolerances", {}))
+        self.tolerances = {key: float(value)
+                           for key, value in raw.get("tolerances", {}).items()}
         self.algebras = {}
         for name, spec in raw.get("algebras", {}).items():
             try:
@@ -147,16 +153,19 @@ class Instance:
         spec = self.seeds[name]
         s = gns_data.cpmap
         out = []
-        for entry in spec.get("elements", []):
-            total = None
-            for term in entry.get("terms", []):
-                a = _element_from_json(s.source, term["a"])
-                b = _element_from_json(s.target, term["b"])
-                op = module_element(gns_data, a, b)
-                total = op if total is None else total + op
-            if total is None:
-                raise InputError(f"seed {name!r} has an element with no terms")
-            out.append(total)
+        try:
+            for entry in spec.get("elements", []):
+                total = None
+                for term in entry.get("terms", []):
+                    a = _element_from_json(s.source, term["a"])
+                    b = _element_from_json(s.target, term["b"])
+                    op = module_element(gns_data, a, b)
+                    total = op if total is None else total + op
+                if total is None:
+                    raise InputError(f"seed {name!r} has an element with no terms")
+                out.append(total)
+        except MALFORMED as exc:
+            raise InputError(f"seed {name!r}: {type(exc).__name__}: {exc}") from exc
         return out
 
 
@@ -166,7 +175,13 @@ def load_instance(path: str) -> Instance:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    return Instance(raw)
+    if not isinstance(raw, dict):
+        raise InputError(f"instance file {path} does not hold a JSON object")
+    try:
+        return Instance(raw)
+    except MALFORMED as exc:
+        raise InputError(f"malformed instance file {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def jsonify(obj):

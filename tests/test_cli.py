@@ -245,6 +245,50 @@ def test_context_states_off_the_map_spaces_are_input_errors(case, command,
     assert message in result["stderr"]
 
 
+def _malformed_instances():
+    """Instance texts that are no valid instance, each with the command
+    that reads the broken part."""
+    def edited(edit, command=("verify",)):
+        raw = copy.deepcopy(cli.BUILTIN_EXAMPLE)
+        edit(raw)
+        return json.dumps(raw), list(command)
+
+    nan = float("nan")
+    return {
+        "not_an_object": ("[1, 2]", ["verify"]),
+        "state_without_vector": edited(
+            lambda raw: raw["states"]["f"].pop("vector")),
+        "map_without_action": edited(
+            lambda raw: raw["cp_maps"]["S"].pop("action")),
+        "ragged_action": edited(
+            lambda raw: raw["cp_maps"]["S"]["action"][0].append([0.5, 0.0])),
+        "non_numeric_entry": edited(
+            lambda raw: raw["cp_maps"]["S"]["action"][0].__setitem__(0, ["x", 0.0])),
+        "nan_in_state": edited(
+            lambda raw: raw["states"]["f"]["vector"].__setitem__(0, [nan, 0.0])),
+        "nan_in_action": edited(
+            lambda raw: raw["cp_maps"]["S"]["action"][1].__setitem__(1, [nan, 0.0])),
+        "non_numeric_tolerance": edited(
+            lambda raw: raw.__setitem__("tolerances", {"verify": "abc"})),
+        "seed_term_without_a": edited(
+            lambda raw: raw["seeds"]["standard"]["elements"][1]["terms"][0].pop("a"),
+            ("dilate", "--seed-qons", "standard")),
+        "fractional_block_dim": edited(
+            lambda raw: raw["algebras"]["B"]["blocks"][0].__setitem__("dim", 1.5)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_instances()))
+def test_malformed_instances_are_input_errors(case, tmp_path):
+    text, command = _malformed_instances()[case]
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    result = capture([command[0], "--input", str(path)] + command[1:])
+    assert result["code"] == 1, result["stderr"]
+    assert result["stderr"].startswith("input error: ")
+    assert result["stdout"] == ""
+
+
 def test_text_comparison_tolerates_only_float_noise():
     _assert_text_close("max residual 1.000e-15)", "max residual 3.000e-15)", "t")
     with pytest.raises(AssertionError):
