@@ -43,18 +43,6 @@ class CPMap:
         return apply(self, a)
 
 
-def _choi_block(source_block_dim: int, applied_ambient: np.ndarray) -> np.ndarray:
-    """Choi matrix Σ_{uv} E_uv ⊗ S(E_uv) for one source block.
-
-    ``applied_ambient`` has shape (d², n, n): ambient images of the block's
-    matrix units in row-major (u, v) order.
-    """
-    d = source_block_dim
-    n = applied_ambient.shape[-1]
-    c = applied_ambient.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    return c
-
-
 def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
                action, tol: float = DEFAULT_TOL) -> CPMap:
     """Build a CPMap and certify *-preservation, complete positivity and
@@ -83,8 +71,11 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     applied_all = represent(images)
     choi_blocks, choi_eigs = [], []
     min_eig = np.inf
+    n = target.ambient_dim
     for off, (d, _) in zip(source.coord_offsets(), source.blocks):
-        c = _choi_block(d, applied_all[off:off + d * d])
+        # C = Σ_uv E_uv ⊗ S(E_uv), rows and columns (u, g)
+        c = applied_all[off:off + d * d].reshape(d, d, n, n).transpose(
+            0, 2, 1, 3).reshape(d * n, d * n)
         eig = hermitian_eig(c, tol)
         lam_min = float(eig.values[-1])
         min_eig = min(min_eig, lam_min if eig.values.size else 0.0)
@@ -98,8 +89,8 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
 
     return CPMap(source=source, target=target, action=action,
                  choi_blocks=tuple(choi_blocks), choi_eigs=tuple(choi_eigs),
-                 is_cp=is_cp,
-                 is_unital=is_unital, choi_min_eigenvalue=float(min_eig))
+                 is_cp=is_cp, is_unital=is_unital,
+                 choi_min_eigenvalue=float(min_eig))
 
 
 def stinespring_blocks(s: CPMap, tol: float = DEFAULT_TOL) -> list:
@@ -189,15 +180,13 @@ def kraus_decomposition(z: CPMap, tol: float = DEFAULT_TOL) -> KrausForm:
         raise NotCP("map is not completely positive")
     dim_g = z.target.blocks[0][0]
     (_, stack), = stinespring_blocks(z, tol)
-    ops = list(stack)
-    l_dim = len(ops)
     isometry = stack.reshape(-1, dim_g)
 
     direct = represent(basis_images(z.target, z.action))
     # Σ_k op_k* E_uv op_k has entries conj(op_k[u, g])·op_k[v, h].
     summed = np.einsum("kug,kvh->uvgh", stack.conj(), stack).reshape(direct.shape)
     recon = float(np.max(frob_each(direct - summed)))
-    complete = frob(sum(op.conj().T @ op for op in ops) - np.eye(dim_g)) if ops else float(dim_g)
-    return KrausForm(l_dim=l_dim, operators=tuple(ops), isometry=isometry,
+    complete = frob(isometry.conj().T @ isometry - np.eye(dim_g))
+    return KrausForm(l_dim=len(stack), operators=tuple(stack), isometry=isometry,
                      reconstruction_residual=recon,
                      completeness_residual=complete)

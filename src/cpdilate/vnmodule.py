@@ -4,13 +4,13 @@ For a CP map S: A → B (B acting on G) the GNS space H is the quotient of
 A⊗G by the null space of the Gram form ⟨a⊗g, a'⊗g'⟩ = ⟨g, S(a*a')g'⟩.  On
 the matrix units of A that form is ⊕_i I_{d_i}⊗C_i for the Choi blocks C_i,
 so H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i} is read off the Choi eigenpairs the map already
-holds, with r_i = rank C_i under one relative cut.  The
-module E is realized as a space of operators G → H spanned by ρ(a)·ξ·b;
-it carries the B-valued inner product ⟨x, y⟩ = x*y, the Stinespring
-representation ρ of A, and the commutant lifting ρ' of B'.  Complete
-quasi-orthonormal systems are produced by a deterministic module
-Gram–Schmidt: orthogonalize against the accepted elements, polar-decompose
-the remainder, keep the partial-isometry part.
+holds, r_i = rank C_i under one relative cut.  The module E is realized as
+a space of operators G → H spanned by ρ(a)·ξ·b; it carries the B-valued
+inner product ⟨x, y⟩ = x*y, the Stinespring representation ρ of A, and the
+commutant lifting ρ' of B'.  Complete quasi-orthonormal systems are
+produced by a deterministic module Gram–Schmidt: orthogonalize against the
+accepted elements, polar-decompose the remainder, keep the partial-isometry
+part.
 """
 
 from dataclasses import dataclass, field
@@ -79,8 +79,6 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
         raise NotCP("GNS construction requires a completely positive map")
     source, target = s.source, s.target
     blocks = stinespring_blocks(s, tol)
-    # The Gram form on A⊗G is ⊕_i I_{d_i}⊗C_i, so H carries the source
-    # blocks with multiplicities r_i.
     h_alg = MatrixBlockAlgebra(blocks=tuple(
         (d, lam.size) for (d, _), (lam, _) in zip(source.blocks, blocks)))
     h_dim = h_alg.ambient_dim
@@ -90,18 +88,18 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     rho_ops = represent(coordinate_basis_stack(h_alg))
     xi = np.concatenate([ops.transpose(1, 0, 2).reshape(-1, target.ambient_dim)
                          for _, ops in blocks])
+    # ρ'(c) = I_{d_i} ⊗ Σ_v ops[:, v]·c·ops[:, v]*/λ on block i of H.
     target_comm = commutant(target)
     rho_prime_ops = np.zeros((target_comm.coord_dim, h_dim, h_dim),
                              dtype=np.complex128)
     pos = 0
     for (d, r), (lam, ops) in zip(h_alg.blocks, blocks):
-        small = alg_mod.basis_sandwich(target_comm, ops,
-                                       ops.conj().transpose(1, 2, 0) / lam)
-        rho_prime_ops[:, pos:pos + d * r, pos:pos + d * r] = np.einsum(
-            "uw,ckl->cukwl", np.eye(d), small).reshape(len(small), d * r, d * r)
+        rho_prime_ops[:, pos:pos + d * r, pos:pos + d * r] = np.kron(
+            np.eye(d), alg_mod.basis_sandwich(target_comm, ops,
+                                              ops.conj().transpose(1, 2, 0) / lam))
         pos += d * r
 
-    module_basis = _module_basis(s, blocks, tol)
+    module_basis = _module_basis(s, blocks, h_dim, tol)
     gram_eigenvalues = np.sort(np.concatenate(
         [np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
 
@@ -141,7 +139,7 @@ def _intertwiner_dimension(data: GNSData, tol: float) -> int:
     return total
 
 
-def _module_basis(s: CPMap, blocks, tol: float) -> np.ndarray:
+def _module_basis(s: CPMap, blocks, h_dim: int, tol: float) -> np.ndarray:
     """HS-orthonormal basis of span{ρ(a)·ξ·b}, in fixed candidate order.
 
     On block i of H, ρ(E_uv)·ξ·b = e_u ⊗ (ops[:, v]·b), so the module is
@@ -149,21 +147,19 @@ def _module_basis(s: CPMap, blocks, tol: float) -> np.ndarray:
     per block over v, then b, and each result is tensored with every e_u.
     """
     reps_b = represent(coordinate_basis_stack(s.target))
-    h_dim = sum(ops.shape[0] * ops.shape[1] for _, ops in blocks)
     out = []
     pos = 0
     for _, ops in blocks:
         r, d, dim_g = ops.shape
         picked = []
-        for left in ops.transpose(1, 0, 2):
-            for cand in left @ reps_b:
-                w = cand.copy()
-                for _ in range(2):  # two GS passes keep the drop test clean
-                    for b in picked:
-                        w -= b * np.vdot(b, w)
-                nw = frob(w)
-                if nw > tol * max(1.0, frob(cand)):
-                    picked.append(w / nw)
+        for cand in (ops.transpose(1, 0, 2)[:, None] @ reps_b).reshape(-1, r, dim_g):
+            w = cand.copy()
+            for _ in range(2):  # two GS passes keep the drop test clean
+                for b in picked:
+                    w -= b * np.vdot(b, w)
+            nw = frob(w)
+            if nw > tol * max(1.0, frob(cand)):
+                picked.append(w / nw)
         for u in range(d):
             for w in picked:
                 x = np.zeros((h_dim, dim_g), dtype=np.complex128)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cpdilate import vnmodule
+from cpdilate import algebra, cpmap, numerics, vnmodule
 from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
                               element, identity, make_algebra, represent,
                               structure_constants)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
-from cpdilate.errors import BadSeed, NotCP, NotInTargetAlgebra
+from cpdilate.errors import BadSeed, DimensionCap, NotCP, NotInTargetAlgebra
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
@@ -165,6 +165,62 @@ class TestGnsKernels:
             counts.append(len(calls))
         # n_A = 1, 4, 9: the Gram form alone took n_A² calls
         assert counts[0] == counts[1] == counts[2] <= 2
+
+
+class TestOneFactorization:
+    """The Choi eigendecompositions of ``make_cpmap`` are the only ones: the
+    GNS construction and the Kraus form read them and decompose nothing."""
+
+    @staticmethod
+    def spy_on_eig(monkeypatch, calls):
+        real = numerics.hermitian_eig
+
+        def spy(m, tol=DEFAULT_TOL):
+            calls.append(np.shape(m))
+            return real(m, tol)
+
+        for module in (numerics, cpmap, vnmodule):
+            monkeypatch.setattr(module, "hermitian_eig", spy)
+
+    def test_make_cpmap_decomposes_each_choi_block_once(self, rng, monkeypatch):
+        calls = []
+        self.spy_on_eig(monkeypatch, calls)
+        source = make_algebra([(2, 1), (1, 2), (3, 1)])
+        target = make_algebra([(2, 2), (1, 1)])
+        action = random_unital_cp_map(rng, source, target).action
+        calls.clear()  # the sampler builds and checks maps of its own
+        make_cpmap(source, target, action)
+        g = target.ambient_dim
+        assert calls == [(2 * g, 2 * g), (g, g), (3 * g, 3 * g)]
+
+    def test_gns_and_kraus_decompose_nothing(self, rng, monkeypatch):
+        s = random_unital_cp_map(rng, make_algebra([(2, 1), (1, 1)]),
+                                 make_algebra([(1, 2), (2, 1)]))
+        z = random_unital_cp_map(rng, make_algebra([(3, 1)]),
+                                 make_algebra([(2, 1)]))
+        calls = []
+        self.spy_on_eig(monkeypatch, calls)
+        gns(s)
+        cpmap.kraus_decomposition(z)
+        assert calls == []
+
+    def test_dimension_cap_is_raised_before_any_represent(self, rng,
+                                                          monkeypatch):
+        s = random_unital_cp_map(rng, make_algebra([(2, 1), (1, 1)]),
+                                 make_algebra([(2, 2)]))
+        h_dim = gns(s).h_dim
+        calls = []
+
+        def spy(x):
+            calls.append(x.algebra)
+            return algebra.represent(x)
+
+        for module in (cpmap, vnmodule):
+            monkeypatch.setattr(module, "represent", spy)
+        with pytest.raises(DimensionCap):
+            gns(s, h_cap=h_dim - 1)
+        assert calls == []
+        assert gns(s, h_cap=h_dim).h_dim == h_dim
 
 
 class TestInnerProduct:
