@@ -88,7 +88,6 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     rho_ops = represent(coordinate_basis_stack(h_alg))
     xi = np.concatenate([ops.transpose(1, 0, 2).reshape(-1, target.ambient_dim)
                          for _, ops in blocks])
-    # ρ'(c) = I_{d_i} ⊗ Σ_v ops[:, v]·c·ops[:, v]*/λ on block i of H.
     target_comm = commutant(target)
     rho_prime_ops = np.zeros((target_comm.coord_dim, h_dim, h_dim),
                              dtype=np.complex128)
@@ -100,8 +99,8 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
         pos += d * r
 
     module_basis = _module_basis(s, blocks, h_dim, tol)
-    gram_eigenvalues = np.sort(np.concatenate(
-        [np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
+    gram_eigenvalues = np.sort(np.concatenate([
+        np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
 
     data = GNSData(cpmap=s, h_dim=h_dim, rho_ops=rho_ops,
                    rho_prime_ops=rho_prime_ops, xi=xi,

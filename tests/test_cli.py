@@ -15,6 +15,7 @@ is intended, with
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -162,6 +163,7 @@ def _parsed(text):
         return text
 
 
+@functools.cache  # read once: the file holds several MB of emitted matrices
 def _golden():
     return {" ".join(case["argv"]): case
             for case in json.loads(GOLDEN.read_text(encoding="utf-8"))}
