@@ -15,7 +15,6 @@ is intended, with
 
 import contextlib
 import copy
-import functools
 import io
 import json
 import os
@@ -63,7 +62,7 @@ def _cases():
                   for seed in range(5)]
     # sources with blocks of dim >= 2, so the emitted j pins the GNS basis
     cases += [["dilate", "--random", "--rng-seed", str(seed), "--json",
-               "--emit-matrices"] for seed in (0, 1, 4)]
+               "--emit-matrices"] for seed in (0, 1, 62)]
     cases += [
         ["dilate", "--random", "--rng-seed", "2"],
         ["dilate", "--builtin", "--seed-qons", "standard", "--json"],
@@ -163,7 +162,6 @@ def _parsed(text):
         return text
 
 
-@functools.cache  # read once: the file holds several MB of emitted matrices
 def _golden():
     return {" ".join(case["argv"]): case
             for case in json.loads(GOLDEN.read_text(encoding="utf-8"))}
