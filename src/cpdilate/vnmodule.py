@@ -151,7 +151,8 @@ def _module_basis(s: CPMap, blocks, h_dim: int, tol: float) -> np.ndarray:
     for _, ops in blocks:
         r, d, dim_g = ops.shape
         picked = []
-        for cand in (ops.transpose(1, 0, 2)[:, None] @ reps_b).reshape(-1, r, dim_g):
+        cands = ops.transpose(1, 0, 2)[:, None] @ reps_b
+        for cand in cands.reshape(d * len(reps_b), r, dim_g):
             w = cand.copy()
             for _ in range(2):  # two GS passes keep the drop test clean
                 for b in picked:

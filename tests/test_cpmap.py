@@ -162,6 +162,16 @@ class TestKraus:
         assert_allclose(kf.operators[0], phase * u, atol=1e-10)
         assert_allclose(abs(phase), 1.0, atol=1e-10)
 
+    def test_zero_map_has_no_operators(self):
+        # oracle: Z = 0 on M2 → M3 has L = 0, so ξ = 0 and ‖ξ*ξ − I‖_F = √3
+        z = make_cpmap(make_algebra([(2, 1)]), make_algebra([(3, 1)]),
+                       np.zeros((9, 4)))
+        kf = kraus_decomposition(z)
+        assert kf.l_dim == 0 and kf.operators == ()
+        assert kf.isometry.shape == (0, 3)
+        assert kf.reconstruction_residual == 0.0
+        assert_allclose(kf.completeness_residual, np.sqrt(3.0), rtol=1e-15)
+
     def test_requires_full_algebras(self, worked_map):
         with pytest.raises(NotFullAlgebra):
             kraus_decomposition(worked_map)

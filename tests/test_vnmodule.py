@@ -7,6 +7,7 @@ from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
                               element, identity, make_algebra, represent,
                               structure_constants)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
+from cpdilate.dilation import weak_tensor_dilation
 from cpdilate.errors import BadSeed, DimensionCap, NotCP, NotInTargetAlgebra
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
@@ -84,6 +85,25 @@ class TestGns:
             cols.append(worked_gns.rho(a) @ worked_gns.xi)
         stacked = np.hstack(cols)
         assert matrix_rank(stacked) == worked_gns.h_dim
+
+    def test_map_vanishing_on_a_summand(self):
+        # oracle: S(x ⊕ y) = x from M2 ⊕ ℂ onto M2 is a unital
+        # *-homomorphism; the Choi block of ℂ is zero, so ℂ adds nothing
+        # to H = ℂ²⊗ℂ¹, and the module is all of B(ℂ², H)
+        source = make_algebra([(2, 1), (1, 1)])
+        s = make_cpmap(source, make_algebra([(2, 1)]),
+                       np.hstack([np.eye(4), np.zeros((4, 1))]))
+        data = gns(s)
+        assert data.h_dim == 2
+        assert data.module_basis.shape[0] == 4
+        assert_allclose(data.gram_eigenvalues[:2], [2.0, 2.0], atol=1e-14)
+        assert_allclose(data.gram_eigenvalues[2:], 0.0, atol=1e-14)
+        for a in coordinate_basis(source):
+            assert_allclose(data.xi.conj().T @ data.rho(a) @ data.xi,
+                            represent(apply(s, a)), atol=1e-13)
+        d = weak_tensor_dilation(s)
+        assert d.k_dim == 1
+        assert d.certificate.max_residual <= 1e-12
 
     def test_rejects_non_cp(self):
         alg = make_algebra([(2, 1)])
