@@ -41,15 +41,9 @@ from .duality import (build_context, dilation_from_extension, double_dual,
                       extension_from_dilation, is_minimal_dilation,
                       state_transport_residual)
 from .errors import CpdilateError, InputError
-from .instancefile import Instance, dump_report, load_instance, matrix_to_json
+from .instancefile import (STAGE_TOLERANCES, Instance, dump_report,
+                           load_instance, matrix_to_json)
 from .vnmodule import gns, inner_product, module_element, qons
-
-STAGE_TOLERANCES = {
-    "construct": 1e-10,
-    "verify": 1e-9,
-    "golden": 1e-12,
-    "roundtrip": 1e-8,
-}
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -106,9 +100,7 @@ class _Timer:
 
 
 def _tolerances(instance: Instance | None, factor: float) -> dict:
-    tols = dict(STAGE_TOLERANCES)
-    if instance is not None:
-        tols.update((k, v) for k, v in instance.tolerances.items() if k in tols)
+    tols = {**STAGE_TOLERANCES, **(instance.tolerances if instance else {})}
     return {k: v * factor for k, v in tols.items()}
 
 
@@ -184,8 +176,7 @@ def cmd_dilate(args, instance, tols, timer) -> dict:
         s = _random_dilation_instance(args)
         map_name = "random"
     else:
-        map_name = args.map or instance.only_map_name()
-        s = instance.cp_map(map_name)
+        map_name, s = instance.named("cp_maps", args.map, "--map")
         if args.seed_qons:
             with timer.stage("gns"):
                 data = gns(s, tols["construct"])
@@ -208,8 +199,7 @@ def cmd_dilate(args, instance, tols, timer) -> dict:
     return fields
 
 
-def _instance_context(instance: Instance, name: str, tols):
-    spec = instance.contexts[name]
+def _instance_context(instance: Instance, spec: dict, tols):
     s = instance.cp_map(spec["map"])
     f = instance.states[spec["f"]][1]
     g = instance.states[spec["g"]][1]
@@ -240,8 +230,8 @@ def _with_context(body):
             rng = np.random.default_rng(args.rng_seed)
             ctx, name = sampling.random_covariant_context(rng, args.dims), "random"
         else:
-            name = args.context or instance.only_context_name()
-            ctx = _instance_context(instance, name, tols)
+            name, spec = instance.named("contexts", args.context, "--context")
+            ctx = _instance_context(instance, spec, tols)
         failures = _hypothesis_failures(ctx)
         if failures:
             return {"context": name, "stages": failures}
@@ -414,8 +404,8 @@ def cmd_verify(args, instance, tols, timer) -> dict:
                        "is_unital": s.is_unital,
                        "choi_min_eigenvalue": s.choi_min_eigenvalue,
                        "residuals": {}, "pass": bool(s.is_cp)})
-    for name in instance.contexts:
-        ctx = _instance_context(instance, name, tols)
+    for name, spec in instance.contexts.items():
+        ctx = _instance_context(instance, spec, tols)
         messages = [stage["message"] for stage in _hypothesis_failures(ctx)]
         stages.append({"name": f"context:{name}",
                        "residuals": {"covariance": ctx.covariance_residual},

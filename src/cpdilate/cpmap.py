@@ -77,8 +77,7 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
         c = applied_all[off:off + d * d].reshape(d, d, n, n).transpose(
             0, 2, 1, 3).reshape(d * n, d * n)
         eig = hermitian_eig(c, tol)
-        lam_min = float(eig.values[-1])
-        min_eig = min(min_eig, lam_min if eig.values.size else 0.0)
+        min_eig = min(min_eig, float(eig.values[-1]))
         choi_blocks.append(c)
         choi_eigs.append(eig)
     choi_scale = max(frob(c) for c in choi_blocks)

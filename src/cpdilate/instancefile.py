@@ -17,6 +17,9 @@ from .cpmap import CPMap, make_cpmap
 from .errors import InputError
 
 SCHEMA_VERSION = 1
+# Default tolerance of each checked stage; a file's "tolerances" may override them.
+STAGE_TOLERANCES = {"construct": 1e-10, "verify": 1e-9, "golden": 1e-12,
+                    "roundtrip": 1e-8}
 # What parsing raises on an entry of the wrong type or shape, or a missing key.
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
@@ -36,8 +39,7 @@ def _vector_from_json(entries) -> np.ndarray:
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_complex_from_pair(p) for p in row] for row in rows],
-                    dtype=np.complex128)
+    return np.array([_vector_from_json(row) for row in rows])
 
 
 def _element_from_json(algebra: MatrixBlockAlgebra, blocks) -> AlgebraElement:
@@ -75,15 +77,16 @@ class Instance:
             raise InputError(f"unsupported schema {raw.get('schema')!r}, "
                              f"expected {SCHEMA_VERSION}")
         self.raw = raw
-        self.tolerances = {key: float(value)
-                           for key, value in raw.get("tolerances", {}).items()}
+        tolerances = raw.get("tolerances", {})
+        self.tolerances = {key: float(tolerances[key])
+                           for key in STAGE_TOLERANCES if key in tolerances}
+        if not all(0.0 <= tol < np.inf for tol in self.tolerances.values()):
+            raise InputError(f"stage tolerances must be finite and >= 0, "
+                             f"got {self.tolerances}")
         self.algebras = {}
         for name, spec in raw.get("algebras", {}).items():
-            try:
-                blocks = [(b["dim"], b["mult"]) for b in spec["blocks"]]
-                self.algebras[name] = make_algebra(blocks)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"algebra {name!r}: {exc}") from exc
+            self.algebras[name] = make_algebra(
+                [(b["dim"], b["mult"]) for b in spec["blocks"]])
         self.states = {}
         for name, spec in raw.get("states", {}).items():
             space = spec.get("space")
@@ -100,17 +103,10 @@ class Instance:
             tgt = spec.get("to")
             if src not in self.algebras or tgt not in self.algebras:
                 raise InputError(f"cp_map {name!r} references unknown algebras")
-            action = _matrix_from_json(spec["action"])
-            try:
-                self.cp_maps[name] = make_cpmap(self.algebras[src],
-                                                self.algebras[tgt], action)
-            except ValueError as exc:
-                raise InputError(f"cp_map {name!r}: {exc}") from exc
+            self.cp_maps[name] = make_cpmap(self.algebras[src], self.algebras[tgt],
+                                            _matrix_from_json(spec["action"]))
         self.contexts = {}
         for name, spec in raw.get("contexts", {}).items():
-            for key in ("map", "f", "g"):
-                if key not in spec:
-                    raise InputError(f"context {name!r} is missing {key!r}")
             if spec["map"] not in self.cp_maps:
                 raise InputError(f"context {name!r} references unknown map")
             if spec["f"] not in self.states or spec["g"] not in self.states:
@@ -130,20 +126,20 @@ class Instance:
             self.contexts[name] = spec
         self.seeds = dict(raw.get("seeds", {}))
 
+    def named(self, table: str, name: str | None, flag: str):
+        """(name, entry) of the ``cp_maps`` or ``contexts`` table; with no
+        name, its only entry, else the CLI ``flag`` must name one."""
+        entries = getattr(self, table)
+        if name is None:
+            if len(entries) != 1:
+                raise InputError(f"instance has several {table}; name one with {flag}")
+            name = next(iter(entries))
+        if name not in entries:
+            raise InputError(f"unknown {table[:-1]} {name!r}")
+        return name, entries[name]
+
     def cp_map(self, name: str) -> CPMap:
-        if name not in self.cp_maps:
-            raise InputError(f"unknown cp_map {name!r}")
-        return self.cp_maps[name]
-
-    def only_map_name(self) -> str:
-        if len(self.cp_maps) != 1:
-            raise InputError("instance has several cp_maps; name one with --map")
-        return next(iter(self.cp_maps))
-
-    def only_context_name(self) -> str:
-        if len(self.contexts) != 1:
-            raise InputError("instance has several contexts; name one with --context")
-        return next(iter(self.contexts))
+        return self.named("cp_maps", name, "--map")[1]
 
     def seed_elements(self, name: str, gns_data):
         """Materialize a named seed as operators G → H via Σ ρ(a_k)·ξ·b_k."""
@@ -175,8 +171,6 @@ def load_instance(path: str) -> Instance:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"instance file {path} does not hold a JSON object")
     try:
         return Instance(raw)
     except MALFORMED as exc:

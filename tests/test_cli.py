@@ -270,6 +270,10 @@ def _malformed_instances():
             lambda raw: raw["cp_maps"]["S"]["action"][1].__setitem__(1, [nan, 0.0])),
         "non_numeric_tolerance": edited(
             lambda raw: raw.__setitem__("tolerances", {"verify": "abc"})),
+        "nan_tolerance": edited(
+            lambda raw: raw.__setitem__("tolerances", {"verify": nan})),
+        "negative_tolerance": edited(
+            lambda raw: raw.__setitem__("tolerances", {"roundtrip": -1e-8})),
         "seed_term_without_a": edited(
             lambda raw: raw["seeds"]["standard"]["elements"][1]["terms"][0].pop("a"),
             ("dilate", "--seed-qons", "standard")),
@@ -287,6 +291,27 @@ def test_malformed_instances_are_input_errors(case, tmp_path):
     assert result["code"] == 1, result["stderr"]
     assert result["stderr"].startswith("input error: ")
     assert result["stdout"] == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dual", "--builtin", "--context", "nope"], "unknown context 'nope'"),
+    (["dilate", "--builtin", "--map", "nope"], "unknown cp_map 'nope'"),
+], ids=["context", "map"])
+def test_unknown_names_are_input_errors(argv, message):
+    result = capture(argv)
+    assert result["code"] == 1
+    assert result["stderr"] == f"input error: {message}\n"
+
+
+def test_tolerances_of_no_stage_are_ignored(tmp_path):
+    raw = copy.deepcopy(cli.BUILTIN_EXAMPLE)
+    raw["tolerances"] = {"note": "hand-tuned", "verify": 1e-8}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    result = capture(["verify", "--input", str(path), "--json"])
+    assert result["code"] == 0, result["stderr"]
+    assert json.loads(result["stdout"])["tolerances"] == {
+        **cli.STAGE_TOLERANCES, "verify": 1e-8}
 
 
 def test_text_comparison_tolerates_only_float_noise():
