@@ -180,7 +180,7 @@ def cmd_dilate(args, instance, tols, timer) -> dict:
         if args.seed_qons:
             with timer.stage("gns"):
                 data = gns(s, tols["construct"])
-            seed = instance.seed_elements(args.seed_qons, data)
+            seed = instance.seed_elements(args.seed_qons, map_name, data)
     with timer.stage("dilate"):
         d = weak_tensor_dilation(s, seed_qons=seed, tol=tols["construct"],
                                  data=data)
@@ -341,7 +341,7 @@ def cmd_paper_example(args, instance, tols, timer) -> dict:
 
     seed = None
     if not args.no_seed:
-        seed = instance.seed_elements("standard", data)
+        seed = instance.seed_elements("standard", "S", data)
     with timer.stage("qons"):
         system = qons(data, seed, tols["construct"])
     qons_res = {"relations": system.relation_residual,
@@ -416,6 +416,17 @@ def cmd_verify(args, instance, tols, timer) -> dict:
     return {"stages": stages}
 
 
+def _tolerance_factor(text: str) -> float:
+    """--tol value: a finite float >= 0."""
+    try:
+        factor = float(text)
+    except ValueError:
+        factor = np.nan
+    if not 0.0 <= factor < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    return factor
+
+
 # argparse keyword arguments of every flag.
 OPTIONS = {
     "--input": {"help": "instance file (JSON)"},
@@ -423,7 +434,7 @@ OPTIONS = {
                   "help": "use the embedded worked example instance"},
     "--output": {"help": "write the JSON report to a file"},
     "--json": {"action": "store_true", "help": "print the JSON report to stdout"},
-    "--tol": {"type": float, "default": 1.0,
+    "--tol": {"type": _tolerance_factor, "default": 1.0,
               "help": "scale factor applied to all stage tolerances"},
     "--timings": {"action": "store_true",
                   "help": "include wall-clock timings (non-deterministic)"},

@@ -131,6 +131,8 @@ class Instance:
         name, its only entry, else the CLI ``flag`` must name one."""
         entries = getattr(self, table)
         if name is None:
+            if not entries:
+                raise InputError(f"instance has no {table}")
             if len(entries) != 1:
                 raise InputError(f"instance has several {table}; name one with {flag}")
             name = next(iter(entries))
@@ -141,8 +143,10 @@ class Instance:
     def cp_map(self, name: str) -> CPMap:
         return self.named("cp_maps", name, "--map")[1]
 
-    def seed_elements(self, name: str, gns_data):
-        """Materialize a named seed as operators G → H via Σ ρ(a_k)·ξ·b_k."""
+    def seed_elements(self, name: str, map_name: str, gns_data):
+        """Materialize a named seed of the map ``map_name`` as operators
+        G → H via Σ ρ(a_k)·ξ·b_k.  A seed declared for another map is an
+        input error."""
         from .vnmodule import module_element
         if name not in self.seeds:
             raise InputError(f"unknown seed {name!r}")
@@ -150,6 +154,9 @@ class Instance:
         s = gns_data.cpmap
         out = []
         try:
+            if spec.get("map", map_name) != map_name:
+                raise InputError(f"seed {name!r} is declared for map {spec['map']!r}, "
+                                 f"not for map {map_name!r}")
             for entry in spec.get("elements", []):
                 total = None
                 for term in entry.get("terms", []):

@@ -7,10 +7,13 @@ so H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i} is read off the Choi eigenpairs the map alrea
 holds, r_i = rank C_i under one relative cut.  The module E is realized as
 a space of operators G → H spanned by ρ(a)·ξ·b; it carries the B-valued
 inner product ⟨x, y⟩ = x*y, the Stinespring representation ρ of A, and the
-commutant lifting ρ' of B'.  Complete quasi-orthonormal systems are
-produced by a deterministic module Gram–Schmidt: orthogonalize against the
-accepted elements, polar-decompose the remainder, keep the partial-isometry
-part.
+commutant lifting ρ' of B'.  E is the space of operators that intertwine
+ρ' with B', so it is fixed by the multiplicities μ_i of the irreducible
+blocks of B' in ρ'.  Complete quasi-orthonormal systems (Paschke) are built
+from that decomposition in closed form: a seed, ξ for a unital map, is
+completed block by block of B' with no Gram–Schmidt, and with the seed ξ
+the system has the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉, dᵢ the multiplicity in
+G of block i of B'.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +40,7 @@ class GNSData:
     source coordinate basis and of the target-commutant coordinate basis on
     H.  ``xi`` is the cyclic vector as an operator G → H, and
     ``module_basis`` is a Hilbert–Schmidt-orthonormal basis of the module
-    E = span{ρ(a)·ξ·b} ⊂ B(G, H).
+    E = span{ρ(a)·ξ·b} ⊂ B(G, H); ``qons`` does not read it.
     """
 
     cpmap: CPMap
@@ -71,7 +74,8 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i}, one summand per source block, where r_i is
     the number of Choi eigenvalues of block i kept by the single cut of
     ``stinespring_blocks``.  ρ(E_uv) = E_uv ⊗ I_{r_i}, the row (u, k) of
-    ξ is ops[k, u], and ρ'(c) = I_{d_i} ⊗ Σ_v ops[:, v]·c·ops[:, v]*/λ.
+    ξ is ops[k, u], and ρ'(c) = I_{d_i} ⊗ Σ_v unit[:, v]·c·unit[:, v]* for
+    the unit eigenvectors unit[k] = ops[k]/√λ_k.
     Raises NotCP when the map's flag is unset and DimensionCap, before
     anything of size H is allocated, when H exceeds ``h_cap``.
     """
@@ -93,9 +97,10 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
                              dtype=np.complex128)
     pos = 0
     for (d, r), (lam, ops) in zip(h_alg.blocks, blocks):
+        unit = ops / np.sqrt(lam)[:, None, None]
         rho_prime_ops[:, pos:pos + d * r, pos:pos + d * r] = np.kron(
-            np.eye(d), alg_mod.basis_sandwich(target_comm, ops,
-                                              ops.conj().transpose(1, 2, 0) / lam))
+            np.eye(d), alg_mod.basis_sandwich(target_comm, unit,
+                                              unit.conj().transpose(1, 2, 0)))
         pos += d * r
 
     module_basis = _module_basis(s, blocks, h_dim, tol)
@@ -222,13 +227,15 @@ def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):
 class QONS:
     """Quasi-orthonormal system: elements e_i (operators G → H) with
     projections p_i = ⟨e_i, e_i⟩ in B, and the completeness projection
-    Σ e_i e_i* on H."""
+    Σ e_i e_i* on H.  The residuals are those of the relations
+    e_i*·e_j = δ_ij·p_i, of Σ e_i e_i* = 1 and of ρ'(c)·e_i = e_i·c."""
 
     elements: tuple
     projections: tuple
     p_completeness: np.ndarray
     relation_residual: float
     completeness_residual: float
+    intertwining_residual: float
 
     def __len__(self):
         return len(self.elements)
@@ -248,14 +255,91 @@ def _qons_relation_residual(elements, projections) -> float:
     return float(np.max(frob_each(prods)))
 
 
+def _intertwining_residual(data: GNSData, elements) -> float:
+    """max over elements e and commutant basis elements c of ‖ρ'(c)·e − e·c‖;
+    zero exactly on the module C_{B'}(B(G, H))."""
+    if not len(elements):
+        return 0.0
+    e = np.stack(elements)
+    comm = represent(coordinate_basis_stack(commutant(data.target)))
+    return float(max(np.max(frob_each(op @ e - e @ c))
+                     for op, c in zip(data.rho_prime_ops, comm)))
+
+
+def _isotypic_completion(data: GNSData, elements, projections):
+    """Elements and projections that complete a quasi-orthonormal seed.
+
+    Block b of B' is M_m acting on ℂ^m with multiplicity d in G, and with
+    multiplicity μ in H.  W₀ (H×μ) is an orthonormal basis of the range of
+    ρ'(E₀₀), W_s = ρ'(E_s0)·W₀, and Q_s (G×d) holds the 0/1 columns (r, s) of
+    the block.  Every μ×d matrix T gives the module element
+    x(T) = Σ_s W_s·T·Q_s*, with ⟨x(T), x(T')⟩ = T*T' on the d leg of
+    block b.  The seed occupies the range of its coefficients W₀*·e·Q₀;
+    a complete Householder QR gives an orthonormal basis of the rest,
+    and element k takes its d columns from k·d on (fewer in the last
+    chunk, which makes a partial projection).  So the system has
+    max_b ⌈(μ_b − seed rank)/d_b⌉ new elements.
+    """
+    target, h_dim = data.target, data.h_dim
+    comm = commutant(target)
+    blocks = list(enumerate(zip(comm.coord_offsets(), comm.blocks)))
+    bases = []
+    for b, (off, (_, d)) in blocks:
+        w0 = _range_basis(data.rho_prime_ops[off])
+        coeffs = [np.zeros((w0.shape[1], 0))]
+        for e, p in zip(elements, projections):
+            t = w0.conj().T @ e[:, _block_columns(target, b, 0)]
+            # T*T is block b of ⟨e, e⟩; keep an orthonormal basis of its range
+            v = _range_basis(p.block_matrices[b])
+            coeffs.append(t if v.shape[1] == d else t @ v)
+        seed = np.hstack(coeffs)
+        rest = np.linalg.qr(seed, mode="complete")[0][:, seed.shape[1]:]
+        bases.append((w0, rest))
+
+    k_new = max(-(-rest.shape[1] // d)
+                for (_, rest), (_, d) in zip(bases, comm.blocks))
+    new = np.zeros((k_new, h_dim, target.ambient_dim), dtype=np.complex128)
+    proj_blocks = []
+    for (w0, rest), (b, (off, (m, d))) in zip(bases, blocks):
+        padded = np.zeros((w0.shape[1], k_new * d), dtype=np.complex128)
+        padded[:, :rest.shape[1]] = rest
+        for s in range(m):
+            w_s = w0 if s == 0 else data.rho_prime_ops[off + s * m] @ w0
+            new[:, :, _block_columns(target, b, s)] = (w_s @ padded).reshape(
+                h_dim, k_new, d).transpose(1, 0, 2)
+        kept = (np.arange(k_new * d) < rest.shape[1]).reshape(k_new, d)
+        proj_blocks.append(kept[:, :, None] * np.eye(d, dtype=np.complex128))
+    return list(new), [AlgebraElement(target, tuple(x[k] for x in proj_blocks))
+                       for k in range(k_new)]
+
+
+def _block_columns(target: MatrixBlockAlgebra, b: int, s: int) -> np.ndarray:
+    """Ambient columns (r, s), r < d, of block b = M_d ⊗ I_m of B: the
+    range of the matrix unit E_ss of the commutant block M_m.  The slow
+    leg is r, or s when B is itself a commutant (flipped)."""
+    d, m = target.blocks[b]
+    start = sum(dd * mm for dd, mm in target.blocks[:b])
+    if target.flipped:
+        return start + s * d + np.arange(d)
+    return start + s + m * np.arange(d)
+
+
+def _range_basis(p) -> np.ndarray:
+    """Orthonormal basis (columns) of the range of a projection: the left
+    singular vectors whose singular value, 0 or 1 up to rounding, is
+    above 1/2."""
+    u, sv, _ = np.linalg.svd(p)
+    return u[:, sv > 0.5]
+
+
 def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     """Complete quasi-orthonormal system for the module, extending a seed.
 
     With no seed and a unital map the cyclic vector ξ is the first element
-    (p₀ = 1).  The remaining elements come from a module Gram–Schmidt over
-    the fixed module basis: subtract projections onto accepted elements,
-    skip candidates whose self-inner-product is below tolerance, otherwise
-    polar-decompose and append.  Deterministic given the basis ordering.
+    (p₀ = 1).  A seed is validated (in the module, projections, mutually
+    orthogonal, intertwining B') and completed in closed form by
+    ``_isotypic_completion``; with the seed ξ the system has the minimal
+    size K = maxᵢ ⌈μᵢ/dᵢ⌉.  Every new element is checked to intertwine B'.
     """
     elements, projections = [], []
 
@@ -278,18 +362,18 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
                 raise BadSeed(f"seed elements are not orthogonal (residual {cross:.3e})")
         elements.append(e)
         projections.append(t)
+    seed_intertwining = _intertwining_residual(data, elements)
+    if seed_intertwining > max(tol, 1e-9):
+        raise BadSeed("seed element does not intertwine B' "
+                      f"(residual {seed_intertwining:.3e})")
 
-    for cand in data.module_basis:
-        y = cand.copy()
-        for _ in range(2):
-            for e in elements:
-                y -= e @ (e.conj().T @ y)
-        t = inner_product(data, y, y, tol)
-        if t.norm() <= tol:
-            continue
-        e, _, p = polar_decompose_module(data, y, tol)
-        elements.append(e)
-        projections.append(p)
+    new, new_projections = _isotypic_completion(data, elements, projections)
+    intertwining = _intertwining_residual(data, new)
+    if intertwining > max(tol, 1e-9):
+        raise ArithmeticError("completion does not intertwine B' "
+                              f"(residual {intertwining:.3e})")
+    elements += new
+    projections += new_projections
 
     p_total = sum(e @ e.conj().T for e in elements) if elements \
         else np.zeros((data.h_dim, data.h_dim), dtype=np.complex128)
@@ -300,7 +384,8 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     relation = _qons_relation_residual(elements, projections)
     return QONS(elements=tuple(elements), projections=tuple(projections),
                 p_completeness=p_total, relation_residual=relation,
-                completeness_residual=completeness)
+                completeness_residual=completeness,
+                intertwining_residual=max(seed_intertwining, intertwining))
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,39 @@ def test_unknown_names_are_input_errors(argv, message):
     assert result["stderr"] == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_tol_must_be_finite_and_non_negative(value, tmp_path):
+    report = tmp_path / REPORT_FILE
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dual", "--builtin", "--tol", value,
+                      "--output", str(report)])
+    assert exc.value.code == 2
+    assert "argument --tol" in err.getvalue()
+    assert not report.exists()
+
+
+def test_seed_of_another_map_is_an_input_error(tmp_path, monkeypatch):
+    _write_instances(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    result = capture(["dilate", "--input", "two_maps.json", "--map", "T",
+                      "--seed-qons", "standard"])
+    assert result["code"] == 1
+    assert result["stderr"] == ("input error: seed 'standard' is declared "
+                                "for map 'S', not for map 'T'\n")
+
+
+@pytest.mark.parametrize("command, table", [("dilate", "cp_maps"),
+                                            ("dual", "contexts")])
+def test_instance_without_entries_says_so(command, table, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"schema": 1}), encoding="utf-8")
+    result = capture([command, "--input", str(path)])
+    assert result["code"] == 1
+    assert result["stderr"] == f"input error: instance has no {table}\n"
+
+
 def test_tolerances_of_no_stage_are_ignored(tmp_path):
     raw = copy.deepcopy(cli.BUILTIN_EXAMPLE)
     raw["tolerances"] = {"note": "hand-tuned", "verify": 1e-8}

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate import algebra, cpmap, numerics, vnmodule
@@ -7,7 +11,7 @@ from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
                               element, identity, make_algebra, represent,
                               structure_constants)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
-from cpdilate.dilation import weak_tensor_dilation
+from cpdilate.dilation import nonunital_recovery, weak_tensor_dilation
 from cpdilate.errors import BadSeed, DimensionCap, NotCP, NotInTargetAlgebra
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
@@ -451,3 +455,141 @@ class TestEmbedding:
                 pi = emb.system.projections[i]
                 sandwiched = pj @ c @ pi
                 assert (sandwiched - c).norm() <= 1e-11
+
+
+def isotypic_multiplicities(data):
+    """(μ_i, d_i) per block of B': μ_i = tr ρ'(1_i)/m_i for the block M_{m_i}
+    of multiplicity d_i in G."""
+    comm = commutant(data.target)
+    out = []
+    for off, (m, d) in zip(comm.coord_offsets(), comm.blocks):
+        trace = sum(np.trace(data.rho_prime_ops[off + u * m + u]).real
+                    for u in range(m))
+        out.append((int(round(trace / m)), d))
+    return out
+
+
+def minimal_k(data):
+    return max(-(-mu // d) for mu, d in isotypic_multiplicities(data))
+
+
+def intertwining_residual(data, elements):
+    comm = [represent(c) for c in coordinate_basis(commutant(data.target))]
+    return max(np.linalg.norm(op @ e - e @ c)
+               for e in elements for op, c in zip(data.rho_prime_ops, comm))
+
+
+class TestIsotypicQons:
+    """The closed-form completion: minimal K, intertwining elements, one
+    path for every seed, no module basis."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_unseeded_system_is_minimal_and_certified(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_unital_cp_map(rng, random_standard_algebra(rng, 6),
+                                 random_standard_algebra(rng, 6))
+        data = gns(s)
+        system = qons(data)
+        assert len(system) == minimal_k(data)
+        assert intertwining_residual(data, system.elements) <= 1e-12
+        assert system.intertwining_residual <= 1e-12
+        assert system.relation_residual <= 1e-12
+        assert system.completeness_residual <= 1e-12
+        d = weak_tensor_dilation(s, data=data)
+        assert d.k_dim == len(system)
+        assert d.certificate.max_residual <= 1e-12
+
+    @staticmethod
+    def spy_on_completion(monkeypatch, calls):
+        real = vnmodule._isotypic_completion
+
+        def spy(data, elements, projections):
+            calls.append(len(elements))
+            return real(data, elements, projections)
+
+        monkeypatch.setattr(vnmodule, "_isotypic_completion", spy)
+
+    def test_nonunital_seed_completes_the_same_way(self, rng, monkeypatch):
+        # S(a) = P·T(a)·P for a unital T on M2 and a rank-one projection P
+        # that is not diagonal: p₀ = supp S(1) = P is a partial projection
+        alg = make_algebra([(2, 1)])
+        t_map = random_unital_cp_map(rng, alg, alg)
+        v = np.array([0.6, 0.8j])
+        proj = element(alg, [np.outer(v, v.conj())])
+        cols = [coordinates(proj @ apply(t_map, a) @ proj)
+                for a in coordinate_basis(alg)]
+        s = make_cpmap(alg, alg, np.stack(cols, axis=1))
+        calls = []
+        self.spy_on_completion(monkeypatch, calls)
+        d, _ = nonunital_recovery(s)
+        assert calls == [1]
+        assert (d.system.projections[0] - proj).norm() <= 1e-12
+        (mu, dim), = isotypic_multiplicities(d.gns_data)
+        assert d.k_dim == 1 + -(-(mu - 1) // dim)
+        assert d.system.intertwining_residual <= 1e-12
+        assert d.certificate.max_residual <= 1e-12
+
+    def test_partial_caller_seed_completes_the_same_way(self, worked_gns,
+                                                        worked_map, monkeypatch):
+        # with e₀ = ξ and e₁ = sgn⊗p₁ given, the only missing element is
+        # e₂ = sgn⊗p₂ up to a phase
+        e0, e1, e2 = worked_seed(worked_gns, worked_map)
+        calls = []
+        self.spy_on_completion(monkeypatch, calls)
+        system = qons(worked_gns, [e0, e1])
+        assert calls == [2]
+        assert len(system) == 3
+        p2 = element(worked_map.target, [np.array([[0.0]]), np.array([[1.0]])])
+        assert (system.projections[2] - p2).norm() == 0.0
+        new = system.elements[2]
+        assert_allclose(new @ new.conj().T, e2 @ e2.conj().T, atol=1e-12)
+        assert system.completeness_residual <= 1e-12
+
+    def test_complete_seed_gets_no_new_element(self, worked_gns, worked_map):
+        seed = worked_seed(worked_gns, worked_map)
+        system = qons(worked_gns, seed)
+        assert len(system) == 3
+        for got, raw in zip(system.elements, seed):
+            assert np.array_equal(got, raw)
+
+    def test_two_calls_give_bitwise_equal_j_ops(self, rng):
+        s = random_unital_cp_map(rng, make_algebra([(2, 1), (1, 1)]),
+                                 make_algebra([(1, 2), (2, 1)]))
+        first = weak_tensor_dilation(s)
+        second = weak_tensor_dilation(s)
+        assert first.j_ops.tobytes() == second.j_ops.tobytes()
+
+    def test_needs_no_module_basis(self, rng):
+        s = random_unital_cp_map(rng, make_algebra([(3, 1)]),
+                                 make_algebra([(1, 2), (2, 1)]))
+        data = gns(s)
+        system = qons(dataclasses.replace(data, module_basis=None))
+        assert len(system) == minimal_k(data)
+        assert system.completeness_residual <= 1e-12
+
+    def test_element_off_the_intertwiners_raises(self, rng, monkeypatch):
+        s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
+                                 make_algebra([(1, 2)]))
+        data = gns(s)
+        real = vnmodule._isotypic_completion
+
+        def perturbed(data, elements, projections):
+            new, new_projections = real(data, elements, projections)
+            new[0] = new[0] + 1e-6 * rng.standard_normal(new[0].shape)
+            return new, new_projections
+
+        monkeypatch.setattr(vnmodule, "_isotypic_completion", perturbed)
+        with pytest.raises(ArithmeticError, match="does not intertwine"):
+            qons(data)
+
+    def test_seed_off_the_intertwiners_is_rejected(self, rng):
+        # ξ·u for a unitary u ∈ B' = M2 that is not central: ⟨ξu, ξu⟩ = 1 is
+        # a projection in B, but ξu is no module element
+        s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
+                                 make_algebra([(1, 2)]))
+        data = gns(s)
+        swap = represent(element(commutant(s.target),
+                                 [np.array([[0.0, 1.0], [1.0, 0.0]])]))
+        with pytest.raises(BadSeed, match="does not intertwine"):
+            qons(data, [data.xi @ swap])
