@@ -495,10 +495,15 @@ class TestIsotypicQons:
         assert intertwining_residual(data, system.elements) <= 1e-12
         assert system.intertwining_residual <= 1e-12
         assert system.relation_residual <= 1e-12
-        assert system.completeness_residual <= 1e-12
+        # ξ*ξ = S(1): the sampler's unitality error, near 1e-12 when S(1)
+        # was badly conditioned before normalization, enters Σ e·e* = 1
+        # and p_I through ξ itself
+        unit_error = np.linalg.norm(represent(
+            apply(s, identity(s.source)) - identity(s.target)))
+        assert system.completeness_residual <= 1e-12 + 4 * unit_error
         d = weak_tensor_dilation(s, data=data)
         assert d.k_dim == len(system)
-        assert d.certificate.max_residual <= 1e-12
+        assert d.certificate.max_residual <= 1e-12 + 4 * unit_error
 
     @staticmethod
     def spy_on_completion(monkeypatch, calls):
