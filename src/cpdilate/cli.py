@@ -247,7 +247,8 @@ def cmd_dual(args, ctx, tols, timer) -> dict:
         "state_transport": state_transport_residual(ctx, s_prime),
     }
     with timer.stage("double-dual"):
-        _, residuals["double_dual_distance"] = double_dual(ctx, tols["construct"])
+        _, residuals["double_dual_distance"] = double_dual(
+            ctx, s_prime, tols["construct"])
     fields = {
         "dims": {"source_commutant_coords": ctx.target_commutant.coord_dim,
                  "target_commutant_coords": ctx.source_commutant.coord_dim},

@@ -5,7 +5,10 @@ cyclic for B'), the isometry ξ': af ↦ ρ(a)(ξg) produces the dual map
 S'(b') = ⟨ξ', ρ'(b')ξ'⟩ from B' to A'.  A weak tensor dilation of S'
 induces a unital CP extension Z: B(F) → B(G) of S through the associated
 isometry ξ(b'g) = j(b')(f⊗ℓ), and conversely an extension induces a
-dilation of S' via the commutant lifting on the Stinespring space of Z.
+dilation of S'.  For the converse, (a ↦ a⊗I_L, ξ_Z) and the GNS pair
+(ρ, ξ_S) are two Stinespring pairs of S, so the isometry V with
+V·ρ(a)·ξ_S = (a⊗I_L)·ξ_Z carries the GNS space of S onto the Stinespring
+space of Z, and the commutant lifting there is j(b') = V·ρ'(b')·V*.
 Both directions are verified with explicit residuals.
 """
 
@@ -25,7 +28,7 @@ from .errors import (InconsistentSystem, NotCovariant, NotCyclic,
                      NotExtension, NotInAlgebra, NotInCommutant,
                      StateMismatch)
 from .numerics import (DEFAULT_TOL, frob, frob_each, matrix_rank,
-                       orthonormal_columns, solve_least_squares)
+                       solve_least_squares)
 from .vnmodule import GNSData, gns
 
 
@@ -66,6 +69,18 @@ def build_context(source, target, s: CPMap, f, g,
         covariance_residual=res)
 
 
+def _solve_defining_system(lhs_rows, rhs_rows, tol: float,
+                           what: str) -> np.ndarray:
+    """The operator x with x·lhs_rows[k] = rhs_rows[k] for every k, solved
+    in least squares; InconsistentSystem names ``what`` when no x fits."""
+    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
+    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
+        raise InconsistentSystem(
+            f"defining system for the {what} is inconsistent "
+            f"(residual {residual:.3e})", residual)
+    return xt.T
+
+
 def xi_prime(ctx: DualityContext, data: GNSData, tol: float = DEFAULT_TOL,
              allow_partial: bool = False) -> np.ndarray:
     """The intertwining isometry ξ': F → H with ξ'(af) = ρ(a)(ξg).
@@ -80,14 +95,9 @@ def xi_prime(ctx: DualityContext, data: GNSData, tol: float = DEFAULT_TOL,
             f"states are not covariant (residual {ctx.covariance_residual:.3e})")
     if not ctx.f_cyclic_for_source and not allow_partial:
         raise NotCyclic("f is not cyclic for A")
-    lhs_rows = basis_action(ctx.source, ctx.f)
-    rhs_rows = data.rho_ops @ (data.xi @ ctx.g)
-    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
-    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
-        raise InconsistentSystem(
-            f"defining system for the dual isometry is inconsistent "
-            f"(residual {residual:.3e})", residual)
-    return xt.T
+    return _solve_defining_system(basis_action(ctx.source, ctx.f),
+                                  data.rho_ops @ (data.xi @ ctx.g), tol,
+                                  "dual isometry")
 
 
 def dual_map(ctx: DualityContext, tol: float = DEFAULT_TOL,
@@ -138,11 +148,12 @@ def swap_context(ctx: DualityContext, s_prime: CPMap,
                          s_prime, ctx.g, ctx.f, tol)
 
 
-def double_dual(ctx: DualityContext, tol: float = DEFAULT_TOL):
-    """Apply the duality twice; returns (S'', ‖S'' − S‖ on coordinates)."""
+def double_dual(ctx: DualityContext, s_prime: CPMap,
+                tol: float = DEFAULT_TOL):
+    """Dualize the dual map S' of ``ctx`` once more; returns
+    (S'', ‖S'' − S‖ on coordinates)."""
     if not ctx.g_cyclic_for_target_commutant:
         raise NotCyclic("g is not cyclic for B'")
-    s_prime = dual_map(ctx, tol)
     swapped = swap_context(ctx, s_prime, tol)
     s_second = dual_map(swapped, tol)
     distance = frob(s_second.action - ctx.cpmap.action)
@@ -202,15 +213,9 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
     if not ctx.g_cyclic_for_target_commutant:
         raise NotCyclic("g is not cyclic for B'")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
-
-    lhs_rows = basis_action(ctx.target_commutant, ctx.g)
-    rhs_rows = d_prime.j_ops @ anchor
-    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
-    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
-        raise InconsistentSystem(
-            f"defining system for the associated isometry is inconsistent "
-            f"(residual {residual:.3e})", residual)
-    xi = xt.T
+    xi = _solve_defining_system(basis_action(ctx.target_commutant, ctx.g),
+                                d_prime.j_ops @ anchor, tol,
+                                "associated isometry")
     z = map_from_isometry(xi, ctx.dim_f, tol)
 
     kraus = kraus_decomposition(z, tol)
@@ -221,52 +226,38 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
                      covariance_residual=cov)
 
 
-def _commutant_lifting(ctx: DualityContext, xi: np.ndarray, tol: float):
-    """j(b') = ρ'(b')p_H for every b' of the commutant coordinate basis, and
-    p_H, from the Stinespring isometry ξ: G → F⊗L of an extension.
+def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
+                       tol: float):
+    """j(b') = V·ρ'(b')·V* for every b' of the commutant coordinate basis,
+    and p_H = V·V*, from the GNS data of S and the Stinespring isometry
+    ξ: G → F⊗L of an extension Z.
 
-    H is the span of the blocks (a⊗I_L)ξ·b; ρ'(c) is defined on that
-    spanning family by (a⊗I_L)ξ·b ↦ (a⊗I_L)ξ·b·c and solved for every c at
-    once.  Raises InconsistentSystem, with the residual of the first c that
-    fails, when ρ'(c) is not well-defined on the span.
+    V: H → F⊗L is fixed by V·ρ(a)·ξ_S = (a⊗I_L)·ξ.  Over A's coordinate
+    basis, X_a = ρ(x_a)·ξ_S and Y_a = (x_a⊗I_L)·ξ; the sum Σ_a X_a·X_a* is
+    the diagonal I_d⊗diag(λ) of the Choi eigenvalues, so
+    V = Σ_a Y_a·X_a* divided by that diagonal.  V is an isometry exactly
+    when Z restricts to S on A, that is when ρ' is well-defined on the span
+    of the Y_a; InconsistentSystem reports ‖V*V − I_H‖ when it is not.
+    Otherwise V is replaced by its polar factor, so that the rounding of
+    the sum, amplified by small Choi eigenvalues, does not reach the
+    homomorphism and projection identities of j and p_H.
     """
     dim_f = ctx.dim_f
     l_dim = xi.shape[0] // dim_f
     reps_a = represent(coordinate_basis_stack(ctx.source))
-    reps_b = represent(coordinate_basis_stack(ctx.target))
-    reps_c = represent(coordinate_basis_stack(ctx.target_commutant))
-    n_ab = len(reps_a) * len(reps_b)
-    dim_g = reps_b.shape[-1]
-
-    # w lines up the blocks (a⊗I_L)ξ·b, a-major, as columns: (LF, n_A·n_B·G).
-    x3 = xi.reshape(l_dim, dim_f, dim_g)
-    amb = np.einsum("aij,ljg->alig", reps_a, x3, optimize=True).reshape(
-        len(reps_a), l_dim * dim_f, dim_g)
-    w3 = np.einsum("axg,bgh->xabh", amb, reps_b, optimize=True).reshape(
-        l_dim * dim_f, n_ab, dim_g)
-    w = w3.reshape(l_dim * dim_f, -1)
-    v = orthonormal_columns(w, tol)
-    h_dim = v.shape[1]
-
-    vw = v.conj().T @ w
-    wc = np.einsum("xng,cgh->cxnh", w3, reps_c, optimize=True).reshape(
-        len(reps_c), l_dim * dim_f, -1)
-    target_small = v.conj().T @ wc
-    rhs = target_small.transpose(2, 0, 1).reshape(vw.shape[1], -1)
-    sol, _ = solve_least_squares(vw.T, rhs, tol)
-    r_small = sol.reshape(h_dim, len(reps_c), h_dim).transpose(1, 2, 0)
-    outside = v @ target_small
-    outside -= wc
-    total = np.maximum(frob_each(outside),
-                       frob_each(r_small @ vw - target_small))
-    scale = max(tol, 1e-8) * np.maximum(1.0, frob_each(wc))
-    failed = np.flatnonzero(total > scale)
-    if failed.size:
-        worst = float(total[failed[0]])
+    x = data.rho_ops @ data.xi
+    y = np.einsum("aij,ljg->alig", reps_a, xi.reshape(l_dim, dim_f, -1),
+                  optimize=True).reshape(len(reps_a), l_dim * dim_f, -1)
+    diagonal = np.einsum("ahg,ahg->h", x, x.conj()).real
+    v = np.einsum("axg,ahg->xh", y, x.conj(), optimize=True) / diagonal
+    defect = frob(v.conj().T @ v - np.eye(data.h_dim))
+    if defect > max(tol, 1e-8) * max(1.0, np.sqrt(data.h_dim)):
         raise InconsistentSystem(
             f"commutant lifting is not well-defined on the span "
-            f"(residual {worst:.3e})", worst)
-    return v @ r_small @ v.conj().T, v @ v.conj().T
+            f"(residual {defect:.3e})", defect)
+    u, _, wh = np.linalg.svd(v, full_matrices=False)
+    v = u @ wh
+    return v @ data.rho_prime_ops @ v.conj().T, v @ v.conj().T
 
 
 def dilation_from_extension(ctx: DualityContext, z: CPMap,
@@ -274,10 +265,11 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
                             s_prime: CPMap = None) -> WeakTensorDilation:
     """Weak tensor dilation of S' recovered from an extension Z of S.
 
-    ξ comes from the deterministic Kraus form of Z; H is the span of
-    (a⊗I_L)ξ·b·g inside F⊗L, the commutant lifting ρ' is defined on that
-    spanning family, and j(b') = ρ'(b')p_H.  The state vector is
-    ℓ = (⟨f|⊗I_L)ξg, which requires φ_f = φ_g∘Z.
+    ξ comes from the deterministic Kraus form of Z.  The GNS space H of S
+    is carried into F⊗L by the isometry V with V·ρ(a)·ξ_S = (a⊗I_L)·ξ,
+    j(b') = V·ρ'(b')·V* and p_H = V·V*.  The state vector is
+    ℓ = (⟨f|⊗I_L)ξg, which requires φ_f = φ_g∘Z.  S' is the dual map of
+    the context unless given, computed from the same GNS data.
 
     The checks run in this order: NotCyclic (f not cyclic for A),
     NotCovariant (φ_f ≠ φ_g∘S), NotExtension (Z does not restrict to S on
@@ -309,10 +301,10 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
             "the extension does not transport the states")
     ell = ell / np.linalg.norm(ell)
 
-    j_ops, p_h = _commutant_lifting(ctx, xi, tol)
-
+    data = gns(ctx.cpmap, tol)
+    j_ops, p_h = _commutant_lifting(ctx, data, xi, tol)
     if s_prime is None:
-        s_prime = dual_map(ctx, tol)
+        s_prime = dual_map(ctx, tol, data)
 
     d = WeakTensorDilation(cpmap=s_prime, k_dim=l_dim, psi_vector=ell,
                            j_ops=j_ops, p_i_matrix=p_h)

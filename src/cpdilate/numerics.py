@@ -32,7 +32,7 @@ def frob_each(m) -> np.ndarray:
     return np.sqrt(np.sum(m.real ** 2 + m.imag ** 2, axis=(-2, -1)))
 
 
-def check_finite(m, what="matrix"):
+def _check_finite(m, what="matrix"):
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{what} contains NaN or Inf entries")
 
@@ -75,7 +75,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     projections, traces) are contract-bearing; individual columns are not.
     """
     m = as_complex(m)
-    check_finite(m)
+    _check_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
     scale = frob(m)
@@ -134,8 +134,8 @@ def solve_least_squares(a, b, tol: float = DEFAULT_TOL):
     """
     a = as_complex(a)
     b = as_complex(b)
-    check_finite(a, "lhs")
-    check_finite(b, "rhs")
+    _check_finite(a, "lhs")
+    _check_finite(b, "rhs")
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=tol)
     return x, frob(a @ x - b)
 
@@ -148,14 +148,3 @@ def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     smax = s[0] if s.size else 0.0
     return int(np.count_nonzero(s > tol * smax))
-
-
-def orthonormal_columns(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``m``."""
-    m = as_complex(m)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
-    return u[:, :rank]

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from cpdilate import make_algebra, make_cpmap
-from cpdilate.numerics import DEFAULT_TOL, as_complex, check_finite
+from cpdilate.algebra import coordinate_basis_stack, represent
+from cpdilate.errors import InconsistentSystem
+from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex,
+                               frob_each, solve_least_squares)
 
 
 @pytest.fixture
@@ -41,7 +44,7 @@ def null_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     returns the full space and an injective matrix returns an empty basis.
     """
     m = as_complex(m)
-    check_finite(m)
+    _check_finite(m)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
@@ -67,3 +70,62 @@ def intertwiner_space(left_ops, right_mats, tol: float = DEFAULT_TOL) -> np.ndar
             for k in range(n)]
     ns = null_space(np.vstack(rows), tol)
     return ns.T.reshape(-1, h, g)
+
+
+def orthonormal_columns(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space of ``m``."""
+    m = as_complex(m)
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol * smax))
+    return u[:, :rank]
+
+
+def span_commutant_lifting(ctx, xi, tol: float = DEFAULT_TOL):
+    """j(b') = ρ'(b')p_H for every b' of the commutant coordinate basis, and
+    p_H, from the Stinespring isometry ξ: G → F⊗L of an extension.
+
+    A brute-force oracle for the closed-form lifting: H is the span of the
+    blocks (a⊗I_L)ξ·b, cut by an SVD, and ρ'(c) is solved in least squares
+    from (a⊗I_L)ξ·b ↦ (a⊗I_L)ξ·b·c for every c at once.  Raises
+    InconsistentSystem when ρ'(c) is not well-defined on the span.
+    """
+    dim_f = ctx.dim_f
+    l_dim = xi.shape[0] // dim_f
+    reps_a = represent(coordinate_basis_stack(ctx.source))
+    reps_b = represent(coordinate_basis_stack(ctx.target))
+    reps_c = represent(coordinate_basis_stack(ctx.target_commutant))
+    n_ab = len(reps_a) * len(reps_b)
+    dim_g = reps_b.shape[-1]
+
+    # w lines up the blocks (a⊗I_L)ξ·b, a-major, as columns: (LF, n_A·n_B·G).
+    x3 = xi.reshape(l_dim, dim_f, dim_g)
+    amb = np.einsum("aij,ljg->alig", reps_a, x3, optimize=True).reshape(
+        len(reps_a), l_dim * dim_f, dim_g)
+    w3 = np.einsum("axg,bgh->xabh", amb, reps_b, optimize=True).reshape(
+        l_dim * dim_f, n_ab, dim_g)
+    w = w3.reshape(l_dim * dim_f, -1)
+    v = orthonormal_columns(w, tol)
+    h_dim = v.shape[1]
+
+    vw = v.conj().T @ w
+    wc = np.einsum("xng,cgh->cxnh", w3, reps_c, optimize=True).reshape(
+        len(reps_c), l_dim * dim_f, -1)
+    target_small = v.conj().T @ wc
+    rhs = target_small.transpose(2, 0, 1).reshape(vw.shape[1], -1)
+    sol, _ = solve_least_squares(vw.T, rhs, tol)
+    r_small = sol.reshape(h_dim, len(reps_c), h_dim).transpose(1, 2, 0)
+    outside = v @ target_small
+    outside -= wc
+    total = np.maximum(frob_each(outside),
+                       frob_each(r_small @ vw - target_small))
+    scale = max(tol, 1e-8) * np.maximum(1.0, frob_each(wc))
+    failed = np.flatnonzero(total > scale)
+    if failed.size:
+        worst = float(total[failed[0]])
+        raise InconsistentSystem(
+            f"commutant lifting is not well-defined on the span "
+            f"(residual {worst:.3e})", worst)
+    return v @ r_small @ v.conj().T, v @ v.conj().T

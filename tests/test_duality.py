@@ -6,17 +6,23 @@ from cpdilate.algebra import (coordinate_basis, coordinates, element,
                               identity, make_algebra, represent, state_value)
 from cpdilate.cpmap import (apply, identity_map, kraus_decomposition,
                             make_cpmap)
-from cpdilate.duality import (build_context, dilation_from_extension,
-                              double_dual, dual_map, dual_pairing_residual,
-                              extend_cp_map, extension_from_dilation,
-                              full_algebra, is_minimal_dilation,
-                              state_transport_residual, swap_context,
-                              xi_prime)
+from cpdilate.duality import (_commutant_lifting, build_context,
+                              dilation_from_extension, double_dual, dual_map,
+                              dual_pairing_residual, extend_cp_map,
+                              extension_from_dilation, full_algebra,
+                              is_minimal_dilation, state_transport_residual,
+                              swap_context, xi_prime)
 from cpdilate.dilation import WeakTensorDilation, weak_tensor_dilation
-from cpdilate.errors import NotCyclic, NotExtension, StateMismatch
+from cpdilate.errors import (InconsistentSystem, NotCyclic, NotExtension,
+                             StateMismatch)
+from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
 from cpdilate.sampling import (random_covariant_channel,
                                random_covariant_context, random_unit_vector)
 from cpdilate.vnmodule import gns
+
+from conftest import span_commutant_lifting
+
+SEEDS = range(12)
 
 
 def vector_state_map(source, target, h):
@@ -121,11 +127,11 @@ class TestDualMap:
             assert state_transport_residual(ctx, sp) <= 1e-9
 
     def test_double_dual(self, worked_ctx, rng):
-        _, dist = double_dual(worked_ctx)
+        _, dist = double_dual(worked_ctx, dual_map(worked_ctx))
         assert dist <= 1e-10
         for _ in range(5):
             ctx = random_covariant_context(rng, 5)
-            _, dist = double_dual(ctx)
+            _, dist = double_dual(ctx, dual_map(ctx))
             assert dist <= 1e-8
 
 
@@ -209,6 +215,43 @@ class TestDilationFromExtension:
             # (id ⊗ phi_ell) ∘ j = S' is the expectation residual
             assert d.certificate.expectation <= 1e-9
             assert d.k_dim == ext.kraus.l_dim
+
+
+def lifting_inputs(ctx):
+    """GNS data of S and the Stinespring isometry of an extension of S."""
+    xi = kraus_decomposition(extend_cp_map(ctx).cpmap).isometry
+    return gns(ctx.cpmap), xi
+
+
+class TestCommutantLifting:
+    def assert_matches_span_oracle(self, ctx):
+        data, xi = lifting_inputs(ctx)
+        j_ops, p_h = _commutant_lifting(ctx, data, xi, DEFAULT_TOL)
+        j_span, p_span = span_commutant_lifting(ctx, xi)
+        assert np.max(frob_each(j_ops - j_span)) <= 1e-12
+        assert frob(p_h - p_span) <= 1e-12
+
+    def test_worked_context_matches_span_oracle(self, worked_ctx):
+        self.assert_matches_span_oracle(worked_ctx)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_context_matches_span_oracle(self, seed):
+        self.assert_matches_span_oracle(random_covariant_context(seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_isometry_is_rejected(self, seed):
+        # (1 + 1e-6)·ξ_Z no longer restricts to S, so V*V − I ≈ 2e-6·I_H
+        ctx = random_covariant_context(seed)
+        data, xi = lifting_inputs(ctx)
+        with pytest.raises(InconsistentSystem,
+                           match="not well-defined on the span"):
+            _commutant_lifting(ctx, data, xi * (1 + 1e-6), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_recovered_certificate_is_at_rounding_level(self, seed):
+        ctx = random_covariant_context(seed)
+        d = dilation_from_extension(ctx, extend_cp_map(ctx).cpmap)
+        assert d.certificate.max_residual <= 1e-13
 
 
 class TestMinimality:

@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpdilate"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+NUMERICS = PACKAGE / "numerics.py"
 
 
 def unused_imports(source: str) -> list:
@@ -23,6 +24,23 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def orphan_functions(source: str, others: list) -> list:
+    """Public module-level functions of ``source`` that none of the
+    ``others`` sources reads, as a name or as an attribute."""
+    defined = {node.name: node.lineno for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    read = set()
+    for other in others:
+        for node in ast.walk(ast.parse(other)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in read)
+
+
 def test_detects_an_unused_import():
     source = "import os\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]
@@ -31,3 +49,17 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_orphan_function():
+    source = "def kept():\n    pass\n\n\ndef orphan():\n    pass\n\n\n" \
+             "def _helper():\n    pass\n"
+    others = ["kept()\n", "import m\nm.kept\n"]
+    assert orphan_functions(source, others) == ["orphan (line 5)"]
+
+
+def test_every_numerics_function_has_a_caller():
+    # numerics is where every decomposition funnels, so a public function
+    # that no other module calls is dead code
+    others = [p.read_text(encoding="utf-8") for p in MODULES if p != NUMERICS]
+    assert orphan_functions(NUMERICS.read_text(encoding="utf-8"), others) == []
