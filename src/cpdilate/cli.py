@@ -27,6 +27,7 @@ argparse's SystemExit before any stage runs.
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 
@@ -187,7 +188,7 @@ def cmd_dilate(args, instance, tols, timer) -> dict:
     fields = {
         "map": map_name,
         "dims": {"H_dim": d.gns_data.h_dim, "K_dim": d.k_dim,
-                 "module_dim": int(d.gns_data.module_basis.shape[0])},
+                 "module_dim": d.gns_data.module_dim},
         "stages": [_stage("dilation-certificate", d.certificate.as_dict(),
                           tols["verify"])],
     }
@@ -283,12 +284,13 @@ def cmd_extend(args, ctx, tols, timer) -> dict:
 
 def cmd_roundtrip(args, ctx, tols, timer) -> dict:
     with timer.stage("pipeline"):
-        s_prime = dual_map(ctx, tols["construct"])
+        data = gns(ctx.cpmap, tols["construct"])
+        s_prime = dual_map(ctx, tols["construct"], data)
         d_prime = weak_tensor_dilation(s_prime, tol=tols["construct"])
         ext = extension_from_dilation(ctx, s_prime, d_prime, tols["construct"])
     with timer.stage("back"):
         d_back = dilation_from_extension(ctx, ext.cpmap, tols["construct"],
-                                         s_prime=s_prime)
+                                         s_prime=s_prime, data=data)
         ext_back = extension_from_dilation(ctx, s_prime, d_back, tols["construct"])
     choi_distance = float(np.linalg.norm(
         ext_back.cpmap.choi_blocks[0] - ext.cpmap.choi_blocks[0]))
@@ -458,7 +460,9 @@ PIPELINE_FLAGS = ("--input", "--builtin", "--random", "--dims", "--rng-seed",
                   "--timings")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cpdilate",
         description="weak tensor dilations and covariant extensions of CP maps")

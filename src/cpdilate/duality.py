@@ -262,14 +262,16 @@ def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
 
 def dilation_from_extension(ctx: DualityContext, z: CPMap,
                             tol: float = DEFAULT_TOL,
-                            s_prime: CPMap = None) -> WeakTensorDilation:
+                            s_prime: CPMap = None,
+                            data: GNSData = None) -> WeakTensorDilation:
     """Weak tensor dilation of S' recovered from an extension Z of S.
 
     ξ comes from the deterministic Kraus form of Z.  The GNS space H of S
     is carried into F⊗L by the isometry V with V·ρ(a)·ξ_S = (a⊗I_L)·ξ,
     j(b') = V·ρ'(b')·V* and p_H = V·V*.  The state vector is
     ℓ = (⟨f|⊗I_L)ξg, which requires φ_f = φ_g∘Z.  S' is the dual map of
-    the context unless given, computed from the same GNS data.
+    the context unless given, computed from the same GNS data, which is
+    ``gns(ctx.cpmap, tol)`` unless given.
 
     The checks run in this order: NotCyclic (f not cyclic for A),
     NotCovariant (φ_f ≠ φ_g∘S), NotExtension (Z does not restrict to S on
@@ -301,7 +303,8 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
             "the extension does not transport the states")
     ell = ell / np.linalg.norm(ell)
 
-    data = gns(ctx.cpmap, tol)
+    if data is None:
+        data = gns(ctx.cpmap, tol)
     j_ops, p_h = _commutant_lifting(ctx, data, xi, tol)
     if s_prime is None:
         s_prime = dual_map(ctx, tol, data)

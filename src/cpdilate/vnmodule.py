@@ -9,14 +9,16 @@ a space of operators G → H spanned by ρ(a)·ξ·b; it carries the B-valued
 inner product ⟨x, y⟩ = x*y, the Stinespring representation ρ of A, and the
 commutant lifting ρ' of B'.  E is the space of operators that intertwine
 ρ' with B', so it is fixed by the multiplicities μ_i of the irreducible
-blocks of B' in ρ'.  Complete quasi-orthonormal systems (Paschke) are built
-from that decomposition in closed form: a seed, ξ for a unital map, is
-completed block by block of B' with no Gram–Schmidt, and with the seed ξ
-the system has the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉, dᵢ the multiplicity in
-G of block i of B'.
+blocks of B' in ρ': its dimension is Σᵢ dᵢ·μᵢ, dᵢ the multiplicity in G of
+block i of B', read off the traces of ρ'.  Both an HS-orthonormal basis of
+E and complete quasi-orthonormal systems (Paschke) are built from that
+decomposition in closed form, with no Gram–Schmidt: a seed, ξ for a unital
+map, is completed block by block of B', and with the seed ξ the system has
+the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +41,9 @@ class GNSData:
     ``rho_ops``/``rho_prime_ops`` hold the representation matrices of the
     source coordinate basis and of the target-commutant coordinate basis on
     H.  ``xi`` is the cyclic vector as an operator G → H, and
-    ``module_basis`` is a Hilbert–Schmidt-orthonormal basis of the module
-    E = span{ρ(a)·ξ·b} ⊂ B(G, H); ``qons`` does not read it.
+    ``module_dim`` = Σ_b d_b·μ_b is the dimension of the module
+    E = span{ρ(a)·ξ·b} = C_{B'}(B(G, H)).  ``module_basis``, an
+    HS-orthonormal basis of E, is built only when read; ``bench/`` reads it.
     """
 
     cpmap: CPMap
@@ -48,7 +51,7 @@ class GNSData:
     rho_ops: np.ndarray
     rho_prime_ops: np.ndarray
     xi: np.ndarray
-    module_basis: np.ndarray
+    module_dim: int
     gram_eigenvalues: np.ndarray = field(repr=False)
 
     @property
@@ -66,6 +69,26 @@ class GNSData:
     def rho_prime(self, c: AlgebraElement) -> np.ndarray:
         """Commutant lifting of a target-commutant element."""
         return np.tensordot(coordinates(c), self.rho_prime_ops, axes=1)
+
+    @cached_property
+    def module_basis(self) -> np.ndarray:
+        """HS-orthonormal basis of E, (module_dim, H, G), built on first read.
+
+        Per block b of B' (M_m, multiplicity d in G, μ in H), element
+        (k, l), k < μ and l < d, puts column k of W_s/√m into ambient column
+        (l, s) for every s < m, W_s the frames of ``_isotypic_frames``.
+        """
+        target = self.target
+        out = []
+        for b, w in enumerate(_isotypic_frames(self)):
+            m, d = len(w), target.blocks[b][0]
+            h_dim, mu = w[0].shape
+            cols = np.stack([_block_columns(target, b, s) for s in range(m)])
+            x = np.zeros((mu, d, h_dim, target.ambient_dim), dtype=np.complex128)
+            x[..., cols] = np.einsum("shk,lj->klhsj", np.stack(w),
+                                     np.eye(d) / np.sqrt(m))
+            out.append(x.reshape(mu * d, h_dim, -1))
+        return np.concatenate(out)
 
 
 def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
@@ -103,77 +126,35 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
                                               unit.conj().transpose(1, 2, 0)))
         pos += d * r
 
-    module_basis = _module_basis(s, blocks, h_dim, tol)
+    module_dim = _intertwiner_dimension(target_comm, rho_prime_ops, tol)
+    if module_dim == 0:
+        raise ArithmeticError("empty module span")
     gram_eigenvalues = np.sort(np.concatenate([
         np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
-
-    data = GNSData(cpmap=s, h_dim=h_dim, rho_ops=rho_ops,
-                   rho_prime_ops=rho_prime_ops, xi=xi,
-                   module_basis=module_basis, gram_eigenvalues=gram_eigenvalues)
-
-    expected = _intertwiner_dimension(data, tol)
-    if expected != module_basis.shape[0]:
-        raise ArithmeticError(
-            "module span does not match the commutant intertwiner space "
-            f"({module_basis.shape[0]} vs {expected})")
-    return data
+    return GNSData(cpmap=s, h_dim=h_dim, rho_ops=rho_ops,
+                   rho_prime_ops=rho_prime_ops, xi=xi, module_dim=module_dim,
+                   gram_eigenvalues=gram_eigenvalues)
 
 
-def _intertwiner_dimension(data: GNSData, tol: float) -> int:
-    """dim C_{B'}(B(G,H)) from the irrep multiplicities of ρ' on H.
+def _intertwiner_dimension(target_comm: MatrixBlockAlgebra,
+                           rho_prime_ops: np.ndarray, tol: float) -> int:
+    """dim C_{B'}(B(G,H)) = Σ_b d_b·μ_b from the irrep multiplicities of ρ'.
 
-    For each block of B' (irrep dimension m, multiplicity d inside G) the
-    isotypic multiplicity in H is tr ρ'(z)/m for the central projection z,
-    and the intertwiner space contributes d·(that multiplicity).
+    For each block b of B' (irrep dimension m, multiplicity d inside G) the
+    isotypic multiplicity in H is μ = tr ρ'(z_b)/m for the central
+    projection z_b = Σ_u E_uu, the sum of the traces of the diagonal
+    ``rho_prime_ops``.  Raises ArithmeticError when μ is not an integer.
     """
-    target_comm = commutant(data.target)
     total = 0
-    pos = 0
-    for dim_m, mult_d in target_comm.blocks:
-        z_coords = np.zeros(target_comm.coord_dim, dtype=np.complex128)
-        for u in range(dim_m):
-            z_coords[pos + u * dim_m + u] = 1.0
-        z = alg_mod.element_from_coordinates(target_comm, z_coords)
-        trace = float(np.real(np.trace(data.rho_prime(z))))
+    for off, (dim_m, mult_d) in zip(target_comm.coord_offsets(),
+                                    target_comm.blocks):
+        diagonal = rho_prime_ops[off + np.arange(dim_m) * (dim_m + 1)]
+        trace = float(np.real(np.trace(diagonal, axis1=1, axis2=2).sum()))
         mu = trace / dim_m
         if abs(mu - round(mu)) > max(tol, 1e-8) * max(1.0, trace):
             raise ArithmeticError(f"non-integer isotypic multiplicity {mu}")
         total += mult_d * int(round(mu))
-        pos += dim_m * dim_m
     return total
-
-
-def _module_basis(s: CPMap, blocks, h_dim: int, tol: float) -> np.ndarray:
-    """HS-orthonormal basis of span{ρ(a)·ξ·b}, in fixed candidate order.
-
-    On block i of H, ρ(E_uv)·ξ·b = e_u ⊗ (ops[:, v]·b), so the module is
-    ⊕_i ℂ^{d_i}⊗V_i with V_i = span{ops[:, v]·b}.  Gram–Schmidt runs once
-    per block over v, then b, and each result is tensored with every e_u.
-    """
-    reps_b = represent(coordinate_basis_stack(s.target))
-    out = []
-    pos = 0
-    for _, ops in blocks:
-        r, d, dim_g = ops.shape
-        picked = []
-        cands = ops.transpose(1, 0, 2)[:, None] @ reps_b
-        for cand in cands.reshape(d * len(reps_b), r, dim_g):
-            w = cand.copy()
-            for _ in range(2):  # two GS passes keep the drop test clean
-                for b in picked:
-                    w -= b * np.vdot(b, w)
-            nw = frob(w)
-            if nw > tol * max(1.0, frob(cand)):
-                picked.append(w / nw)
-        for u in range(d):
-            for w in picked:
-                x = np.zeros((h_dim, dim_g), dtype=np.complex128)
-                x[pos + u * r:pos + (u + 1) * r] = w
-                out.append(x)
-        pos += d * r
-    if not out:
-        raise ArithmeticError("empty module span")
-    return np.stack(out)
 
 
 def module_element(data: GNSData, a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
@@ -282,10 +263,10 @@ def _isotypic_completion(data: GNSData, elements, projections):
     """
     target, h_dim = data.target, data.h_dim
     comm = commutant(target)
-    blocks = list(enumerate(zip(comm.coord_offsets(), comm.blocks)))
+    frames = _isotypic_frames(data)
     bases = []
-    for b, (off, (_, d)) in blocks:
-        w0 = _range_basis(data.rho_prime_ops[off])
+    for b, (w, (_, d)) in enumerate(zip(frames, comm.blocks)):
+        w0 = w[0]
         coeffs = [np.zeros((w0.shape[1], 0))]
         for e, p in zip(elements, projections):
             t = w0.conj().T @ e[:, _block_columns(target, b, 0)]
@@ -293,24 +274,35 @@ def _isotypic_completion(data: GNSData, elements, projections):
             v = _range_basis(p.block_matrices[b])
             coeffs.append(t if v.shape[1] == d else t @ v)
         seed = np.hstack(coeffs)
-        rest = np.linalg.qr(seed, mode="complete")[0][:, seed.shape[1]:]
-        bases.append((w0, rest))
+        bases.append(np.linalg.qr(seed, mode="complete")[0][:, seed.shape[1]:])
 
     k_new = max(-(-rest.shape[1] // d)
-                for (_, rest), (_, d) in zip(bases, comm.blocks))
+                for rest, (_, d) in zip(bases, comm.blocks))
     new = np.zeros((k_new, h_dim, target.ambient_dim), dtype=np.complex128)
     proj_blocks = []
-    for (w0, rest), (b, (off, (m, d))) in zip(bases, blocks):
-        padded = np.zeros((w0.shape[1], k_new * d), dtype=np.complex128)
+    for b, (w, rest, (m, d)) in enumerate(zip(frames, bases, comm.blocks)):
+        padded = np.zeros((rest.shape[0], k_new * d), dtype=np.complex128)
         padded[:, :rest.shape[1]] = rest
         for s in range(m):
-            w_s = w0 if s == 0 else data.rho_prime_ops[off + s * m] @ w0
-            new[:, :, _block_columns(target, b, s)] = (w_s @ padded).reshape(
+            new[:, :, _block_columns(target, b, s)] = (w[s] @ padded).reshape(
                 h_dim, k_new, d).transpose(1, 0, 2)
         kept = (np.arange(k_new * d) < rest.shape[1]).reshape(k_new, d)
         proj_blocks.append(kept[:, :, None] * np.eye(d, dtype=np.complex128))
     return list(new), [AlgebraElement(target, tuple(x[k] for x in proj_blocks))
                        for k in range(k_new)]
+
+
+def _isotypic_frames(data: GNSData) -> list:
+    """Per block of B' (M_m, multiplicity μ in H), the list of its frames
+    W_s (H×μ), s < m: W₀ is an orthonormal basis of the range of ρ'(E₀₀)
+    and W_s = ρ'(E_s0)·W₀ one of the range of ρ'(E_ss)."""
+    comm = commutant(data.target)
+    frames = []
+    for off, (m, _) in zip(comm.coord_offsets(), comm.blocks):
+        w0 = _range_basis(data.rho_prime_ops[off])
+        frames.append([w0] + [data.rho_prime_ops[off + s * m] @ w0
+                              for s in range(1, m)])
+    return frames
 
 
 def _block_columns(target: MatrixBlockAlgebra, b: int, s: int) -> np.ndarray:

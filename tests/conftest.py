@@ -3,8 +3,9 @@ import pytest
 
 from cpdilate import make_algebra, make_cpmap
 from cpdilate.algebra import coordinate_basis_stack, represent
+from cpdilate.cpmap import stinespring_blocks
 from cpdilate.errors import InconsistentSystem
-from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex,
+from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex, frob,
                                frob_each, solve_least_squares)
 
 
@@ -70,6 +71,41 @@ def intertwiner_space(left_ops, right_mats, tol: float = DEFAULT_TOL) -> np.ndar
             for k in range(n)]
     ns = null_space(np.vstack(rows), tol)
     return ns.T.reshape(-1, h, g)
+
+
+def gram_schmidt_module_basis(s, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """HS-orthonormal basis of the module span{ρ(a)·ξ·b}, (dim, H, G), in
+    fixed candidate order.
+
+    A Gram–Schmidt oracle for the closed-form ``GNSData.module_basis``: on
+    block i of H, ρ(E_uv)·ξ·b = e_u ⊗ (ops[:, v]·b), so the module is
+    ⊕_i ℂ^{d_i}⊗V_i with V_i = span{ops[:, v]·b}.  Gram–Schmidt runs once
+    per block over v, then b, and each result is tensored with every e_u.
+    """
+    blocks = stinespring_blocks(s, tol)
+    h_dim = sum(d * lam.size for (d, _), (lam, _) in zip(s.source.blocks, blocks))
+    reps_b = represent(coordinate_basis_stack(s.target))
+    out = []
+    pos = 0
+    for _, ops in blocks:
+        r, d, dim_g = ops.shape
+        picked = []
+        cands = ops.transpose(1, 0, 2)[:, None] @ reps_b
+        for cand in cands.reshape(d * len(reps_b), r, dim_g):
+            w = cand.copy()
+            for _ in range(2):  # two GS passes keep the drop test clean
+                for b in picked:
+                    w -= b * np.vdot(b, w)
+            nw = frob(w)
+            if nw > tol * max(1.0, frob(cand)):
+                picked.append(w / nw)
+        for u in range(d):
+            for w in picked:
+                x = np.zeros((h_dim, dim_g), dtype=np.complex128)
+                x[pos + u * r:pos + (u + 1) * r] = w
+                out.append(x)
+        pos += d * r
+    return np.stack(out)
 
 
 def orthonormal_columns(m, tol: float = DEFAULT_TOL) -> np.ndarray:

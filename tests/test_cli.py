@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from cpdilate import cli
+from cpdilate import cli, dilation, duality
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 FLOAT_TOL = 1e-12
@@ -345,6 +345,42 @@ def test_tolerances_of_no_stage_are_ignored(tmp_path):
     assert result["code"] == 0, result["stderr"]
     assert json.loads(result["stdout"])["tolerances"] == {
         **cli.STAGE_TOLERANCES, "verify": 1e-8}
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    # every golden argv, in order and in reverse order, each pass after a
+    # usage error: one call leaking parser state into the next would show
+    _write_instances(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for order in (_cases(), _cases()[::-1]):
+        with contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit):
+                cli.main(["verify", "--builtin", "--dims", "3"])
+        runs.append({" ".join(argv): capture(argv) for argv in order})
+    forward, backward = runs
+    for key, result in forward.items():
+        for field in ("code", "stdout", "file"):
+            assert backward[key][field] == result[field], f"{key}: {field}"
+
+
+def test_roundtrip_builds_the_gns_data_of_s_once(monkeypatch):
+    calls = []
+    real = cli.gns
+
+    def counted(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    for module in (cli, dilation, duality):
+        monkeypatch.setattr(module, "gns", counted)
+    assert capture(["roundtrip", "--builtin", "--json"])["code"] == 0
+    # gns(S), shared by dual_map and dilation_from_extension, and gns(S')
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_text_comparison_tolerates_only_float_noise():

@@ -41,6 +41,27 @@ def orphan_functions(source: str, others: list) -> list:
                   if name not in read)
 
 
+def unread_private_functions(sources: dict) -> list:
+    """Private module-level functions of the ``sources`` (module name →
+    text) that no source reads, as a name or as an attribute, outside the
+    function's own definition."""
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own is not None and own.startswith("_"):
+                defined[module, own] = top.lineno
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    read.add(node.attr)
+    return sorted(f"{module}:{name} (line {line})"
+                  for (module, name), line in defined.items()
+                  if name not in read)
+
+
 def test_detects_an_unused_import():
     source = "import os\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]
@@ -63,3 +84,19 @@ def test_every_numerics_function_has_a_caller():
     # that no other module calls is dead code
     others = [p.read_text(encoding="utf-8") for p in MODULES if p != NUMERICS]
     assert orphan_functions(NUMERICS.read_text(encoding="utf-8"), others) == []
+
+
+def test_detects_an_unread_private_function():
+    sources = {
+        "a": "def _read():\n    pass\n\n\ndef _recursive(n):\n"
+             "    return _recursive(n - 1)\n\n\ndef _unread():\n    pass\n",
+        "b": "import a\na._read()\n",
+    }
+    assert unread_private_functions(sources) == [
+        "a:_recursive (line 5)", "a:_unread (line 9)"]
+
+
+def test_every_private_function_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert unread_private_functions(sources) == []

@@ -1,4 +1,6 @@
-import dataclasses
+import contextlib
+import functools
+import io
 
 import numpy as np
 import pytest
@@ -6,19 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cpdilate import algebra, cpmap, numerics, vnmodule
+from cpdilate import algebra, cli, cpmap, numerics, vnmodule
 from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
                               element, identity, make_algebra, represent,
                               structure_constants)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
 from cpdilate.dilation import nonunital_recovery, weak_tensor_dilation
+from cpdilate.duality import dual_map
 from cpdilate.errors import BadSeed, DimensionCap, NotCP, NotInTargetAlgebra
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
-from cpdilate.sampling import (random_standard_algebra, random_unital_cp_map)
+from cpdilate.sampling import (random_covariant_context,
+                               random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
                                module_element, polar_decompose_module, qons)
 
-from conftest import intertwiner_space
+from conftest import gram_schmidt_module_basis, intertwiner_space
 
 
 @pytest.fixture
@@ -565,13 +569,36 @@ class TestIsotypicQons:
         second = weak_tensor_dilation(s)
         assert first.j_ops.tobytes() == second.j_ops.tobytes()
 
-    def test_needs_no_module_basis(self, rng):
+    def test_needs_no_module_basis(self, rng, monkeypatch):
+        calls = []
+        real = vnmodule.GNSData.module_basis.func
+
+        def counted(data):
+            calls.append(data)
+            return real(data)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(vnmodule.GNSData, "module_basis")
+        monkeypatch.setattr(vnmodule.GNSData, "module_basis", spy)
+
         s = random_unital_cp_map(rng, make_algebra([(3, 1)]),
                                  make_algebra([(1, 2), (2, 1)]))
         data = gns(s)
-        system = qons(dataclasses.replace(data, module_basis=None))
+        system = qons(data)
         assert len(system) == minimal_k(data)
         assert system.completeness_residual <= 1e-12
+        weak_tensor_dilation(s, data=data)
+        dual_map(random_covariant_context(rng, 4))
+        for command in ("dilate", "dual", "roundtrip"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([command, "--builtin", "--json"]) == 0
+        assert calls == []
+
+        # the first read builds the basis, later reads return it
+        basis = data.module_basis
+        assert data.module_basis is basis
+        assert calls == [data]
+        assert basis.shape[0] == data.module_dim
 
     def test_element_off_the_intertwiners_raises(self, rng, monkeypatch):
         s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
@@ -598,3 +625,46 @@ class TestIsotypicQons:
                                  [np.array([[0.0, 1.0], [1.0, 0.0]])]))
         with pytest.raises(BadSeed, match="does not intertwine"):
             qons(data, [data.xi @ swap])
+
+
+class TestClosedFormModule:
+    """``module_dim`` = Σ d·μ from the ρ' traces, and the lazy closed-form
+    basis, against the Gram–Schmidt oracle of the module span."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_basis_matches_the_gram_schmidt_span(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_unital_cp_map(rng, random_standard_algebra(rng, 6),
+                                 random_standard_algebra(rng, 6))
+        data = gns(s)
+        basis = data.module_basis
+        oracle = gram_schmidt_module_basis(s)
+        assert basis.shape[0] == data.module_dim == oracle.shape[0]
+        flat = basis.reshape(len(basis), -1)
+        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(flat)))) <= 1e-12
+        assert intertwining_residual(data, basis) <= 1e-12
+        # the oracle orthogonalizes un-normalized ops·b, so its span carries
+        # the rounding of the smallest kept Choi eigenvalue
+        span = flat.T @ flat.conj()
+        oracle_flat = oracle.reshape(len(oracle), -1)
+        assert np.max(np.abs(span - oracle_flat.T @ oracle_flat.conj())) <= 1e-9
+
+    def test_non_integer_multiplicity_raises(self, rng):
+        # ℂ → M₃: B' = ℂ with μ = 3, so ρ'(1) scaled by 1.5 has trace 4.5
+        s = random_unital_cp_map(rng, make_algebra([(1, 1)]),
+                                 make_algebra([(3, 1)]))
+        data = gns(s)
+        comm = commutant(s.target)
+        assert vnmodule._intertwiner_dimension(
+            comm, data.rho_prime_ops, DEFAULT_TOL) == data.module_dim == 9
+        scaled = data.rho_prime_ops.copy()
+        scaled[0] *= 1.5
+        with pytest.raises(ArithmeticError,
+                           match="non-integer isotypic multiplicity 4.5"):
+            vnmodule._intertwiner_dimension(comm, scaled, DEFAULT_TOL)
+
+    def test_zero_map_has_no_module(self):
+        alg = make_algebra([(2, 1)])
+        with pytest.raises(ArithmeticError, match="empty module span"):
+            gns(make_cpmap(alg, alg, np.zeros((4, 4))))
