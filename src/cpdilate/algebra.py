@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCap, NotInAlgebra
-from .numerics import DEFAULT_TOL, as_complex, frob, frob_each
+from .numerics import DEFAULT_TOL, as_complex, frob, frob_each, matrix_rank
 
 MEMBERSHIP_TOL = 1e-9
 AMBIENT_CAP = 64
@@ -303,10 +303,7 @@ def decompose(alg: MatrixBlockAlgebra, m, tol: float = MEMBERSHIP_TOL) -> Algebr
 
 def is_cyclic(alg: MatrixBlockAlgebra, v, tol: float = DEFAULT_TOL) -> bool:
     """True iff span{x·v : x in the coordinate basis} is the ambient space."""
-    s = np.linalg.svd(basis_action(alg, v).T, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
-    return rank == alg.ambient_dim
+    return matrix_rank(basis_action(alg, v).T, tol) == alg.ambient_dim
 
 
 def state_value(v, m):
@@ -361,8 +358,3 @@ def conditional_expectation(target: MatrixBlockAlgebra, k_dim: int,
     if psi.size != k_dim:
         raise ValueError(f"state vector has dim {psi.size}, expected {k_dim}")
     return ConditionalExpectation(target=target, k_dim=k_dim, psi_vector=psi)
-
-
-def tensor_with_factor(b_ambient, k_dim: int, factor) -> np.ndarray:
-    """Ambient matrix of b⊗c on the product space with the K leg slowest."""
-    return np.kron(as_complex(factor).reshape(k_dim, k_dim), as_complex(b_ambient))

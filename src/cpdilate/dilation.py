@@ -21,8 +21,8 @@ from .algebra import (AlgebraElement, adjoint_permutation, coordinates,
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
 from .numerics import DEFAULT_TOL, frob, frob_each
-from .vnmodule import (GNSData, ModuleEmbedding, QONS, embed_qons, gns,
-                       polar_decompose_module, qons)
+from .vnmodule import (GNSData, QONS, embed_qons, gns, polar_decompose_module,
+                       qons)
 
 VERIFY_TOL = 1e-9
 
@@ -70,7 +70,6 @@ class WeakTensorDilation:
     absxi: AlgebraElement = None
     gns_data: GNSData = field(default=None, repr=False)
     system: QONS = field(default=None, repr=False)
-    embedding: ModuleEmbedding = field(default=None, repr=False)
 
     def j(self, a: AlgebraElement) -> np.ndarray:
         """Ambient matrix of j(a) on G⊗K."""
@@ -141,8 +140,7 @@ def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
     psi[0] = 1.0
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
                            j_ops=j_ops, p_i_matrix=emb.p_i_matrix,
-                           absxi=absxi, gns_data=data, system=system,
-                           embedding=emb)
+                           absxi=absxi, gns_data=data, system=system)
     return replace(d, certificate=verify_dilation(d, tol))
 
 

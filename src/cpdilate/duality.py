@@ -9,7 +9,8 @@ dilation of S'.  For the converse, (a ↦ a⊗I_L, ξ_Z) and the GNS pair
 (ρ, ξ_S) are two Stinespring pairs of S, so the isometry V with
 V·ρ(a)·ξ_S = (a⊗I_L)·ξ_Z carries the GNS space of S onto the Stinespring
 space of Z, and the commutant lifting there is j(b') = V·ρ'(b')·V*.
-Both directions are verified with explicit residuals.
+ξ', ξ and V come from one closed form, ``_stinespring_isometry``.  Both
+directions are verified with explicit residuals.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,8 +28,7 @@ from .dilation import (WeakTensorDilation, verify_dilation,
 from .errors import (InconsistentSystem, NotCovariant, NotCyclic,
                      NotExtension, NotInAlgebra, NotInCommutant,
                      StateMismatch)
-from .numerics import (DEFAULT_TOL, frob, frob_each, matrix_rank,
-                       solve_least_squares)
+from .numerics import DEFAULT_TOL, frob, frob_each, matrix_rank
 from .vnmodule import GNSData, gns
 
 
@@ -69,35 +69,45 @@ def build_context(source, target, s: CPMap, f, g,
         covariance_residual=res)
 
 
-def _solve_defining_system(lhs_rows, rhs_rows, tol: float,
-                           what: str) -> np.ndarray:
-    """The operator x with x·lhs_rows[k] = rhs_rows[k] for every k, solved
-    in least squares; InconsistentSystem names ``what`` when no x fits."""
-    xt, residual = solve_least_squares(lhs_rows, rhs_rows, tol)
-    if residual > max(tol, 1e-9) * max(1.0, frob(rhs_rows)):
+def _stinespring_isometry(x, y, tol: float, what: str) -> np.ndarray:
+    """The isometry V with V·x[a] = y[a] for the images x (n, P, q) and
+    y (n, R, q) of one coordinate basis under two Stinespring pairs (q = 1
+    for stacks of vectors): V = (Σ y[a]·x[a]*)·(Σ x[a]·x[a]*)⁻¹, where the
+    callers check first that the x[a] span ℂ^P.  InconsistentSystem names
+    ``what`` when ‖V*V − I_P‖ shows that the pairs differ; otherwise the
+    polar factor of V, an isometry to rounding level, is returned.
+    """
+    x = x.reshape(*x.shape[:2], -1)
+    y = y.reshape(*y.shape[:2], -1)
+    xc = x.conj()
+    normal = np.tensordot(x, xc, axes=([0, 2], [0, 2]))
+    cross = np.tensordot(y, xc, axes=([0, 2], [0, 2]))
+    v = np.linalg.solve(normal.T, cross.T).T
+    defect = frob(v.conj().T @ v - np.eye(v.shape[1]))
+    if defect > max(tol, 1e-8) * max(1.0, np.sqrt(v.shape[1])):
         raise InconsistentSystem(
-            f"defining system for the {what} is inconsistent "
-            f"(residual {residual:.3e})", residual)
-    return xt.T
+            f"{what} is not well-defined on the span "
+            f"(residual {defect:.3e})", defect)
+    u, _, wh = np.linalg.svd(v, full_matrices=False)
+    return u @ wh
 
 
-def xi_prime(ctx: DualityContext, data: GNSData, tol: float = DEFAULT_TOL,
-             allow_partial: bool = False) -> np.ndarray:
+def xi_prime(ctx: DualityContext, data: GNSData,
+             tol: float = DEFAULT_TOL) -> np.ndarray:
     """The intertwining isometry ξ': F → H with ξ'(af) = ρ(a)(ξg).
 
-    Solved in least squares over the cyclic span; covariance violations
-    surface as InconsistentSystem, never as a silent projection.  With
-    ``allow_partial`` a non-cyclic f yields the partial isometry with
-    cokernel span(A f).
+    The closed-form Stinespring isometry between the pairs (id, f) and
+    (ρ, ξg) of the state φ_f = φ_g∘S on A, so a covariance violation
+    surfaces as InconsistentSystem, never as a silent projection.
     """
     if not ctx.covariant:
         raise NotCovariant(
             f"states are not covariant (residual {ctx.covariance_residual:.3e})")
-    if not ctx.f_cyclic_for_source and not allow_partial:
+    if not ctx.f_cyclic_for_source:
         raise NotCyclic("f is not cyclic for A")
-    return _solve_defining_system(basis_action(ctx.source, ctx.f),
-                                  data.rho_ops @ (data.xi @ ctx.g), tol,
-                                  "dual isometry")
+    return _stinespring_isometry(basis_action(ctx.source, ctx.f),
+                                 data.rho_ops @ (data.xi @ ctx.g), tol,
+                                 "dual isometry")
 
 
 def dual_map(ctx: DualityContext, tol: float = DEFAULT_TOL,
@@ -206,16 +216,17 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
                             tol: float = DEFAULT_TOL) -> Extension:
     """Extension of S from a weak tensor dilation of the dual map.
 
-    The associated isometry is solved from ξ(b'g) = j(b')(f⊗ℓ) over the
-    commutant coordinate basis (g cyclic for B'), and
-    Z(x) = ξ*(x⊗I_L)ξ.  Verifies restriction to S and state transport.
+    The associated isometry is the closed-form Stinespring isometry with
+    ξ(b'g) = j(b')(f⊗ℓ) over the commutant coordinate basis (g cyclic for
+    B'), and Z(x) = ξ*(x⊗I_L)ξ.  Verifies restriction to S and state
+    transport.
     """
     if not ctx.g_cyclic_for_target_commutant:
         raise NotCyclic("g is not cyclic for B'")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
-    xi = _solve_defining_system(basis_action(ctx.target_commutant, ctx.g),
-                                d_prime.j_ops @ anchor, tol,
-                                "associated isometry")
+    xi = _stinespring_isometry(basis_action(ctx.target_commutant, ctx.g),
+                               d_prime.j_ops @ anchor, tol,
+                               "associated isometry")
     z = map_from_isometry(xi, ctx.dim_f, tol)
 
     kraus = kraus_decomposition(z, tol)
@@ -232,31 +243,20 @@ def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
     and p_H = V·V*, from the GNS data of S and the Stinespring isometry
     ξ: G → F⊗L of an extension Z.
 
-    V: H → F⊗L is fixed by V·ρ(a)·ξ_S = (a⊗I_L)·ξ.  Over A's coordinate
-    basis, X_a = ρ(x_a)·ξ_S and Y_a = (x_a⊗I_L)·ξ; the sum Σ_a X_a·X_a* is
-    the diagonal I_d⊗diag(λ) of the Choi eigenvalues, so
-    V = Σ_a Y_a·X_a* divided by that diagonal.  V is an isometry exactly
-    when Z restricts to S on A, that is when ρ' is well-defined on the span
-    of the Y_a; InconsistentSystem reports ‖V*V − I_H‖ when it is not.
-    Otherwise V is replaced by its polar factor, so that the rounding of
-    the sum, amplified by small Choi eigenvalues, does not reach the
-    homomorphism and projection identities of j and p_H.
+    V: H → F⊗L is the closed-form Stinespring isometry with
+    V·ρ(a)·ξ_S = (a⊗I_L)·ξ over A's coordinate basis.  Its normal matrix
+    Σ_a ρ(x_a)·ξ_S·ξ_S*·ρ(x_a)* is the diagonal I_d⊗diag(λ) of the kept
+    Choi eigenvalues, so it is invertible.  V is an isometry exactly when
+    Z restricts to S on A; InconsistentSystem reports ‖V*V − I_H‖ when it
+    is not.
     """
     dim_f = ctx.dim_f
     l_dim = xi.shape[0] // dim_f
     reps_a = represent(coordinate_basis_stack(ctx.source))
-    x = data.rho_ops @ data.xi
     y = np.einsum("aij,ljg->alig", reps_a, xi.reshape(l_dim, dim_f, -1),
                   optimize=True).reshape(len(reps_a), l_dim * dim_f, -1)
-    diagonal = np.einsum("ahg,ahg->h", x, x.conj()).real
-    v = np.einsum("axg,ahg->xh", y, x.conj(), optimize=True) / diagonal
-    defect = frob(v.conj().T @ v - np.eye(data.h_dim))
-    if defect > max(tol, 1e-8) * max(1.0, np.sqrt(data.h_dim)):
-        raise InconsistentSystem(
-            f"commutant lifting is not well-defined on the span "
-            f"(residual {defect:.3e})", defect)
-    u, _, wh = np.linalg.svd(v, full_matrices=False)
-    v = u @ wh
+    v = _stinespring_isometry(data.rho_ops @ data.xi, y, tol,
+                              "commutant lifting")
     return v @ data.rho_prime_ops @ v.conj().T, v @ v.conj().T
 
 

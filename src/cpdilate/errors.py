@@ -85,7 +85,7 @@ class NotCyclic(CpdilateError):
 
 
 class InconsistentSystem(CpdilateError):
-    """A least-squares defining system has residual beyond tolerance."""
+    """Two Stinespring pairs that admit no intertwining isometry."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -126,20 +126,6 @@ def psd_functions(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> Ps
                         rank=int(np.count_nonzero(kept)))
 
 
-def solve_least_squares(a, b, tol: float = DEFAULT_TOL):
-    """Minimal-norm least-squares solution of ``a @ x = b``.
-
-    Returns ``(x, residual)`` with the residual reported exactly as
-    achieved, ``‖a@x − b‖`` in the Frobenius norm.
-    """
-    a = as_complex(a)
-    b = as_complex(b)
-    _check_finite(a, "lhs")
-    _check_finite(b, "rhs")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=tol)
-    return x, frob(a @ x - b)
-
-
 def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank via singular values > tol·σ_max."""
     m = as_complex(m)

@@ -15,7 +15,7 @@ from .algebra import (MatrixBlockAlgebra, commutant, coordinate_basis,
                       coordinates, decompose, element, identity, is_cyclic,
                       make_algebra, represent, state_value)
 from .cpmap import CPMap, apply, make_cpmap
-from .duality import DualityContext, build_context, map_from_isometry
+from .duality import DualityContext, build_context
 from .numerics import DEFAULT_TOL, psd_functions
 
 
@@ -172,35 +172,3 @@ def _covariant_partner(s: CPMap, g) -> np.ndarray:
     if nrm < 1e-8:
         return None
     return f / nrm
-
-
-def random_covariant_channel(rng, dim_f: int, dim_g: int, l_dim: int):
-    """Random unital CP map B(F) → B(G) with a pinned covariant pair.
-
-    Builds an isometry ξ: G → F⊗L whose action on a random unit vector g is
-    f⊗ℓ, and returns (Z, f, g) with φ_f = φ_g∘Z by construction.
-
-    The target is all of B(G), so B' = ℂ·1 and for dim G ≥ 2 its g is never
-    cyclic for B'.  The triples suit ``dilation_from_extension``, which
-    needs no B'-cyclicity, but not ``extend_cp_map``, which raises
-    NotCyclic on them.
-    """
-    rng = rng_from(rng)
-    if l_dim * dim_f < dim_g:
-        raise ValueError("need dim(F⊗L) >= dim G for an isometry")
-    f = random_unit_vector(rng, dim_f)
-    g = random_unit_vector(rng, dim_g)
-    ell = random_unit_vector(rng, l_dim)
-    anchor = np.kron(ell, f)
-
-    g_basis = np.linalg.qr(np.column_stack(
-        [g] + [random_unit_vector(rng, dim_g) for _ in range(dim_g - 1)]))[0]
-    g_basis[:, 0] = g
-    targets = [anchor]
-    for _ in range(dim_g - 1):
-        w = random_unit_vector(rng, l_dim * dim_f)
-        for t in targets:
-            w = w - t * np.vdot(t, w)
-        targets.append(w / np.linalg.norm(w))
-    xi = np.column_stack(targets) @ g_basis.conj().T
-    return map_from_isometry(xi, dim_f), f, g

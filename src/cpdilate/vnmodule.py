@@ -207,13 +207,12 @@ def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):
 @dataclass(frozen=True)
 class QONS:
     """Quasi-orthonormal system: elements e_i (operators G → H) with
-    projections p_i = ⟨e_i, e_i⟩ in B, and the completeness projection
-    Σ e_i e_i* on H.  The residuals are those of the relations
-    e_i*·e_j = δ_ij·p_i, of Σ e_i e_i* = 1 and of ρ'(c)·e_i = e_i·c."""
+    projections p_i = ⟨e_i, e_i⟩ in B.  The residuals are those of the
+    relations e_i*·e_j = δ_ij·p_i, of the completeness Σ e_i e_i* = 1 and
+    of ρ'(c)·e_i = e_i·c."""
 
     elements: tuple
     projections: tuple
-    p_completeness: np.ndarray
     relation_residual: float
     completeness_residual: float
     intertwining_residual: float
@@ -375,8 +374,7 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
             f"system does not sum to the identity (residual {completeness:.3e})")
     relation = _qons_relation_residual(elements, projections)
     return QONS(elements=tuple(elements), projections=tuple(projections),
-                p_completeness=p_total, relation_residual=relation,
-                completeness_residual=completeness,
+                relation_residual=relation, completeness_residual=completeness,
                 intertwining_residual=max(seed_intertwining, intertwining))
 
 

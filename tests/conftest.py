@@ -4,9 +4,11 @@ import pytest
 from cpdilate import make_algebra, make_cpmap
 from cpdilate.algebra import coordinate_basis_stack, represent
 from cpdilate.cpmap import stinespring_blocks
+from cpdilate.duality import map_from_isometry
 from cpdilate.errors import InconsistentSystem
 from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex, frob,
-                               frob_each, solve_least_squares)
+                               frob_each)
+from cpdilate.sampling import random_unit_vector
 
 
 @pytest.fixture
@@ -36,6 +38,11 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return a @ a.conj().T
+
+
+def tensor_with_factor(b_ambient, k_dim: int, factor) -> np.ndarray:
+    """Ambient matrix of b⊗c on the product space with the K leg slowest."""
+    return np.kron(as_complex(factor).reshape(k_dim, k_dim), as_complex(b_ambient))
 
 
 def null_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -151,7 +158,7 @@ def span_commutant_lifting(ctx, xi, tol: float = DEFAULT_TOL):
         len(reps_c), l_dim * dim_f, -1)
     target_small = v.conj().T @ wc
     rhs = target_small.transpose(2, 0, 1).reshape(vw.shape[1], -1)
-    sol, _ = solve_least_squares(vw.T, rhs, tol)
+    sol = np.linalg.lstsq(vw.T, rhs, rcond=tol)[0]
     r_small = sol.reshape(h_dim, len(reps_c), h_dim).transpose(1, 2, 0)
     outside = v @ target_small
     outside -= wc
@@ -165,3 +172,34 @@ def span_commutant_lifting(ctx, xi, tol: float = DEFAULT_TOL):
             f"commutant lifting is not well-defined on the span "
             f"(residual {worst:.3e})", worst)
     return v @ r_small @ v.conj().T, v @ v.conj().T
+
+
+def random_covariant_channel(rng, dim_f: int, dim_g: int, l_dim: int):
+    """Random unital CP map B(F) → B(G) with a pinned covariant pair.
+
+    Builds an isometry ξ: G → F⊗L whose action on a random unit vector g is
+    f⊗ℓ, and returns (Z, f, g) with φ_f = φ_g∘Z by construction.
+
+    The target is all of B(G), so B' = ℂ·1 and for dim G ≥ 2 its g is never
+    cyclic for B'.  The triples suit ``dilation_from_extension``, which
+    needs no B'-cyclicity, but not ``extend_cp_map``, which raises
+    NotCyclic on them.
+    """
+    if l_dim * dim_f < dim_g:
+        raise ValueError("need dim(F⊗L) >= dim G for an isometry")
+    f = random_unit_vector(rng, dim_f)
+    g = random_unit_vector(rng, dim_g)
+    ell = random_unit_vector(rng, l_dim)
+    anchor = np.kron(ell, f)
+
+    g_basis = np.linalg.qr(np.column_stack(
+        [g] + [random_unit_vector(rng, dim_g) for _ in range(dim_g - 1)]))[0]
+    g_basis[:, 0] = g
+    targets = [anchor]
+    for _ in range(dim_g - 1):
+        w = random_unit_vector(rng, l_dim * dim_f)
+        for t in targets:
+            w = w - t * np.vdot(t, w)
+        targets.append(w / np.linalg.norm(w))
+    xi = np.column_stack(targets) @ g_basis.conj().T
+    return map_from_isometry(xi, dim_f), f, g

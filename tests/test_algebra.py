@@ -11,10 +11,10 @@ from cpdilate.algebra import (adjoint_permutation, basis_action,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
                               represent, state_value, structure_constants,
-                              tensor_with_factor, zero)
+                              zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
 
-from conftest import null_space
+from conftest import null_space, tensor_with_factor
 
 
 class TestMakeAlgebra:

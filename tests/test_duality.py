@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cpdilate.algebra import (coordinate_basis, coordinates, element,
-                              identity, make_algebra, represent, state_value)
+from cpdilate.algebra import (basis_action, coordinate_basis, coordinates,
+                              element, identity, make_algebra, represent,
+                              state_value)
 from cpdilate.cpmap import (apply, identity_map, kraus_decomposition,
                             make_cpmap)
 from cpdilate.duality import (_commutant_lifting, build_context,
@@ -16,11 +19,10 @@ from cpdilate.dilation import WeakTensorDilation, weak_tensor_dilation
 from cpdilate.errors import (InconsistentSystem, NotCyclic, NotExtension,
                              StateMismatch)
 from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
-from cpdilate.sampling import (random_covariant_channel,
-                               random_covariant_context, random_unit_vector)
+from cpdilate.sampling import random_covariant_context, random_unit_vector
 from cpdilate.vnmodule import gns
 
-from conftest import span_commutant_lifting
+from conftest import random_covariant_channel, span_commutant_lifting
 
 SEEDS = range(12)
 
@@ -78,18 +80,13 @@ class TestXiPrime:
             rhs = xp @ represent(a)
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
-    def test_requires_cyclic_unless_partial(self, worked_map):
+    def test_requires_cyclic(self, worked_map):
         f = np.array([1.0, 0.0])
         g = np.array([1.0, 0.0])
         s = identity_map(worked_map.source)
         ctx = build_context(s.source, s.target, s, f, g)
-        data = gns(s)
         with pytest.raises(NotCyclic):
-            xi_prime(ctx, data)
-        xp = xi_prime(ctx, data, allow_partial=True)
-        # partial isometry with cokernel span(A f) = e1 axis
-        assert np.linalg.norm(xp @ np.array([0.0, 1.0])) <= 1e-10
-        assert_allclose(np.linalg.norm(xp @ np.array([1.0, 0.0])), 1.0, atol=1e-10)
+            xi_prime(ctx, gns(s))
 
     def test_gns_dual_vector_identity(self, worked_ctx):
         # b' xi' a f = rho(a) xi b' g over both coordinate bases
@@ -252,6 +249,66 @@ class TestCommutantLifting:
         ctx = random_covariant_context(seed)
         d = dilation_from_extension(ctx, extend_cp_map(ctx).cpmap)
         assert d.certificate.max_residual <= 1e-13
+
+
+def lstsq_isometry(x, y):
+    """The operator V with V·x[a] = y[a] for a stack of vectors, in least
+    squares: the oracle for the closed-form Stinespring isometry."""
+    return np.linalg.lstsq(x, y, rcond=None)[0].T
+
+
+def isometry_defect(v):
+    return frob(v.conj().T @ v - np.eye(v.shape[1]))
+
+
+def dual_dilation(ctx):
+    """S' and its weak tensor dilation."""
+    sp = dual_map(ctx)
+    return sp, weak_tensor_dilation(sp)
+
+
+class TestClosedFormIsometries:
+    def assert_match_lstsq(self, ctx):
+        data = gns(ctx.cpmap)
+        xp = xi_prime(ctx, data)
+        oracle = lstsq_isometry(basis_action(ctx.source, ctx.f),
+                                data.rho_ops @ (data.xi @ ctx.g))
+        assert frob(xp - oracle) <= 1e-12
+        assert isometry_defect(xp) <= 1e-13
+
+        sp, d = dual_dilation(ctx)
+        xi = extension_from_dilation(ctx, sp, d).isometry
+        anchor = np.kron(d.psi_vector, ctx.f)
+        oracle = lstsq_isometry(basis_action(ctx.target_commutant, ctx.g),
+                                d.j_ops @ anchor)
+        assert frob(xi - oracle) <= 1e-12
+        assert isometry_defect(xi) <= 1e-13
+
+    def test_worked_context_matches_lstsq(self, worked_ctx):
+        self.assert_match_lstsq(worked_ctx)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_context_matches_lstsq(self, seed):
+        self.assert_match_lstsq(random_covariant_context(seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_gns_vector_is_rejected(self, seed):
+        # (1 + 1e-6)·ξ_S is consistent in least squares, but the pairs
+        # (id, f) and (ρ, ξg) no longer have the same Gram data
+        ctx = random_covariant_context(seed)
+        data = gns(ctx.cpmap)
+        with pytest.raises(InconsistentSystem,
+                           match="dual isometry is not well-defined"):
+            xi_prime(ctx, replace(data, xi=data.xi * (1 + 1e-6)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_dilation_is_rejected(self, seed):
+        ctx = random_covariant_context(seed)
+        sp, d = dual_dilation(ctx)
+        with pytest.raises(InconsistentSystem,
+                           match="associated isometry is not well-defined"):
+            extension_from_dilation(ctx, sp,
+                                    replace(d, j_ops=d.j_ops * (1 + 1e-6)))
 
 
 class TestMinimality:

@@ -7,7 +7,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpdilate"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-NUMERICS = PACKAGE / "numerics.py"
 
 
 def unused_imports(source: str) -> list:
@@ -24,33 +23,17 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-def orphan_functions(source: str, others: list) -> list:
-    """Public module-level functions of ``source`` that none of the
-    ``others`` sources reads, as a name or as an attribute."""
-    defined = {node.name: node.lineno for node in ast.parse(source).body
-               if isinstance(node, ast.FunctionDef)
-               and not node.name.startswith("_")}
-    read = set()
-    for other in others:
-        for node in ast.walk(ast.parse(other)):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(f"{name} (line {line})" for name, line in defined.items()
-                  if name not in read)
-
-
-def unread_private_functions(sources: dict) -> list:
-    """Private module-level functions of the ``sources`` (module name →
-    text) that no source reads, as a name or as an attribute, outside the
-    function's own definition."""
+def unread_functions(sources: dict, private: bool, exported=()) -> list:
+    """Module-level functions of the ``sources`` (module name → text),
+    the private ones or the public ones, that no source reads, as a name
+    or as an attribute, outside the function's own definition, and that
+    are not among the ``exported`` names."""
     defined = {}
     read = set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
             own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own is not None and own.startswith("_"):
+            if own is not None and own.startswith("_") == private:
                 defined[module, own] = top.lineno
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and node.id != own:
@@ -59,7 +42,19 @@ def unread_private_functions(sources: dict) -> list:
                     read.add(node.attr)
     return sorted(f"{module}:{name} (line {line})"
                   for (module, name), line in defined.items()
-                  if name not in read)
+                  if name not in read and name not in exported)
+
+
+def package_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8")
+            for p in PACKAGE.glob("*.py")}
+
+
+def package_exports() -> set:
+    """The names ``__init__`` imports from the package modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_detects_an_unused_import():
@@ -73,17 +68,21 @@ def test_module_reads_every_name_it_imports(path):
 
 
 def test_detects_an_orphan_function():
-    source = "def kept():\n    pass\n\n\ndef orphan():\n    pass\n\n\n" \
-             "def _helper():\n    pass\n"
-    others = ["kept()\n", "import m\nm.kept\n"]
-    assert orphan_functions(source, others) == ["orphan (line 5)"]
+    sources = {
+        "a": "def kept():\n    pass\n\n\ndef exported():\n    pass\n\n\n"
+             "def orphan():\n    return orphan()\n\n\ndef _helper():\n"
+             "    pass\n",
+        "b": "import a\na.kept()\n",
+    }
+    assert unread_functions(sources, private=False, exported={"exported"}) \
+        == ["a:orphan (line 9)"]
 
 
-def test_every_numerics_function_has_a_caller():
-    # numerics is where every decomposition funnels, so a public function
-    # that no other module calls is dead code
-    others = [p.read_text(encoding="utf-8") for p in MODULES if p != NUMERICS]
-    assert orphan_functions(NUMERICS.read_text(encoding="utf-8"), others) == []
+def test_every_public_function_is_read_or_exported():
+    # a public function that no module reads and __init__ does not export
+    # has callers in the tests only, so it belongs in tests/conftest.py
+    assert unread_functions(package_sources(), private=False,
+                            exported=package_exports()) == []
 
 
 def test_detects_an_unread_private_function():
@@ -92,11 +91,9 @@ def test_detects_an_unread_private_function():
              "    return _recursive(n - 1)\n\n\ndef _unread():\n    pass\n",
         "b": "import a\na._read()\n",
     }
-    assert unread_private_functions(sources) == [
+    assert unread_functions(sources, private=True) == [
         "a:_recursive (line 5)", "a:_unread (line 9)"]
 
 
 def test_every_private_function_is_read():
-    sources = {p.stem: p.read_text(encoding="utf-8")
-               for p in PACKAGE.glob("*.py")}
-    assert unread_private_functions(sources) == []
+    assert unread_functions(package_sources(), private=True) == []

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate.errors import NonFinite, NonHermitian, NotPSD
-from cpdilate.numerics import (hermitian_eig, matrix_rank, psd_functions,
-                               solve_least_squares)
+from cpdilate.numerics import hermitian_eig, matrix_rank, psd_functions
 
 from conftest import null_space, random_hermitian, random_psd
 
@@ -112,30 +111,6 @@ class TestNullSpace:
         assert basis.shape == (4, 2)
         assert np.linalg.norm(m @ basis) <= 1e-10 * np.linalg.norm(m)
         assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
-
-
-class TestLeastSquares:
-    def test_identity_system(self, rng):
-        b = rng.standard_normal((4, 2))
-        x, res = solve_least_squares(np.eye(4), b)
-        assert_allclose(x, b, atol=1e-12)
-        assert res <= 1e-12
-
-    def test_overdetermined_consistent(self, rng):
-        a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        x0 = rng.standard_normal((3, 2))
-        x, res = solve_least_squares(a, a @ x0)
-        assert res <= 1e-12
-        assert_allclose(x, x0, atol=1e-10)
-
-    def test_inconsistent_matches_projection_oracle(self, rng):
-        # oracle: the optimal residual is the norm of b outside col(A)
-        a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        proj = a @ np.linalg.pinv(a)
-        expected = np.linalg.norm(b - proj @ b)
-        _, res = solve_least_squares(a, b)
-        assert_allclose(res, expected, atol=1e-12)
 
 
 def test_matrix_rank(rng):
