@@ -8,14 +8,12 @@ unital CP extensions of S to the full operator algebras, with verification
 certificates for every construction.
 """
 
-from .algebra import (AlgebraElement, ConditionalExpectation,
-                      MatrixBlockAlgebra, commutant, conditional_expectation,
+from .algebra import (AlgebraElement, MatrixBlockAlgebra, commutant,
                       coordinate_basis, coordinates, decompose, element,
                       element_from_coordinates, identity, is_cyclic,
                       make_algebra, represent, state_value, zero)
-from .cpmap import (CPMap, KrausForm, apply, check_covariance, compose,
-                    covariance_residual, identity_map, kraus_decomposition,
-                    make_cpmap)
+from .cpmap import (CPMap, KrausForm, apply, compose, covariance_residual,
+                    identity_map, kraus_decomposition, make_cpmap)
 from .dilation import (WeakTensorDilation, nonunital_recovery,
                        verify_dilation, weak_tensor_dilation)
 from .duality import (DualityContext, Extension, build_context,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCap, NotInAlgebra
-from .numerics import DEFAULT_TOL, as_complex, frob, frob_each, matrix_rank
+from .numerics import (DEFAULT_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR, as_complex,
+                       frob, frob_each, matrix_rank)
 
-MEMBERSHIP_TOL = 1e-9
 AMBIENT_CAP = 64
 
 
@@ -287,7 +287,7 @@ def project_to_algebra(alg: MatrixBlockAlgebra, m):
     return el, (float(residual) if not batch else residual)
 
 
-def decompose(alg: MatrixBlockAlgebra, m, tol: float = MEMBERSHIP_TOL) -> AlgebraElement:
+def decompose(alg: MatrixBlockAlgebra, m, tol: float = RESIDUAL_FLOOR) -> AlgebraElement:
     """Coordinates of an ambient matrix; NotInAlgebra when the projection
     residual exceeds ``tol·max(1, ‖m‖)``.  A stack (…, N, N) is decomposed
     matrix by matrix, and the first matrix that fails raises."""
@@ -313,33 +313,12 @@ def state_value(v, m):
     return complex(value) if value.ndim == 0 else value
 
 
-def check_unit_vector(v, tol: float = 1e-8) -> np.ndarray:
+def check_unit_vector(v, tol: float = IDENTITY_FLOOR) -> np.ndarray:
     v = as_complex(v).reshape(-1)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"expected a unit vector, got norm {nrm}")
     return v
-
-
-@dataclass(frozen=True)
-class ConditionalExpectation:
-    """The slice map B⊗B(K) → B induced by a vector state on K.
-
-    On elementary tensors b⊗c it returns b·ψ(c); on an ambient matrix over
-    the product space (K leg slowest) it contracts the K legs against the
-    state vector and decomposes the rest into B.
-    """
-
-    target: MatrixBlockAlgebra
-    k_dim: int
-    psi_vector: np.ndarray
-
-    def ambient(self, m) -> np.ndarray:
-        """Contraction to an ambient matrix on the B side (no membership check)."""
-        return slice_map(m, self.psi_vector, self.target.ambient_dim)
-
-    def __call__(self, m, tol: float = MEMBERSHIP_TOL) -> AlgebraElement:
-        return decompose(self.target, self.ambient(m), tol)
 
 
 def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
@@ -351,10 +330,3 @@ def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
     t = m.reshape(m.shape[:-2] + (k, g_dim, k, g_dim))
     return np.einsum("k,...kglh,l->...gh", np.conj(psi_vector), t, psi_vector)
 
-
-def conditional_expectation(target: MatrixBlockAlgebra, k_dim: int,
-                            psi_vector) -> ConditionalExpectation:
-    psi = check_unit_vector(psi_vector)
-    if psi.size != k_dim:
-        raise ValueError(f"state vector has dim {psi.size}, expected {k_dim}")
-    return ConditionalExpectation(target=target, k_dim=k_dim, psi_vector=psi)

@@ -3,7 +3,7 @@
 Commands: dilate | dual | extend | roundtrip | paper-example | verify.
 Instances come from a JSON file (--input), from the embedded worked
 example (--builtin), or from the random generators (--random, at most
---dims ambient dimensions, seeded by --rng-seed).  Reports are
+--dims ambient dimensions, 2 to 64, seeded by --rng-seed).  Reports are
 deterministic JSON byte streams; wall-clock timings are only included
 with --timings since they vary between runs.
 
@@ -34,13 +34,13 @@ import time
 import numpy as np
 
 from . import sampling
-from .algebra import element
+from .algebra import AMBIENT_CAP, element
 from .cpmap import apply
 from .dilation import weak_tensor_dilation
-from .duality import (build_context, dilation_from_extension, double_dual,
-                      dual_map, dual_pairing_residual, extend_cp_map,
-                      extension_from_dilation, is_minimal_dilation,
-                      state_transport_residual)
+from .duality import (HYPOTHESES, build_context, dilation_from_extension,
+                      double_dual, dual_map, dual_pairing_residual,
+                      extend_cp_map, extension_from_dilation,
+                      is_minimal_dilation, state_transport_residual)
 from .errors import CpdilateError, InputError
 from .instancefile import (STAGE_TOLERANCES, Instance, dump_report,
                            load_instance, matrix_to_json)
@@ -76,14 +76,6 @@ BUILTIN_EXAMPLE = {
         ]},
     },
 }
-
-# Standing duality hypotheses as (DualityContext flag, stage name, message).
-HYPOTHESES = (
-    ("covariant", "covariance", "states are not covariant for S"),
-    ("f_cyclic_for_source", "cyclicity", "f not cyclic for A"),
-    ("g_cyclic_for_target_commutant", "cyclicity", "g not cyclic for B'"),
-)
-
 
 def builtin_instance() -> Instance:
     return Instance(BUILTIN_EXAMPLE)
@@ -208,16 +200,17 @@ def _instance_context(instance: Instance, spec: dict, tols):
 
 
 def _hypothesis_failures(ctx) -> list:
-    """One failing stage per standing hypothesis that does not hold."""
+    """One failing stage per standing hypothesis that does not hold, named
+    "covariance" or "cyclicity"."""
     stages = []
-    for flag, name, message in HYPOTHESES:
+    for flag, (_, message) in HYPOTHESES.items():
         if getattr(ctx, flag):
             continue
-        stage = {"name": name, "pass": False, "message": message,
+        stage = {"name": "cyclicity", "pass": False, "message": message,
                  "residuals": {}}
         if flag == "covariant":
-            stage["residuals"] = {"covariance": ctx.covariance_residual}
-            stage["max_residual"] = ctx.covariance_residual
+            stage.update(name="covariance", max_residual=ctx.covariance_residual,
+                         residuals={"covariance": ctx.covariance_residual})
         stages.append(stage)
     return stages
 
@@ -287,11 +280,11 @@ def cmd_roundtrip(args, ctx, tols, timer) -> dict:
         data = gns(ctx.cpmap, tols["construct"])
         s_prime = dual_map(ctx, tols["construct"], data)
         d_prime = weak_tensor_dilation(s_prime, tol=tols["construct"])
-        ext = extension_from_dilation(ctx, s_prime, d_prime, tols["construct"])
+        ext = extension_from_dilation(ctx, d_prime, tols["construct"])
     with timer.stage("back"):
         d_back = dilation_from_extension(ctx, ext.cpmap, tols["construct"],
                                          s_prime=s_prime, data=data)
-        ext_back = extension_from_dilation(ctx, s_prime, d_back, tols["construct"])
+        ext_back = extension_from_dilation(ctx, d_back, tols["construct"])
     choi_distance = float(np.linalg.norm(
         ext_back.cpmap.choi_blocks[0] - ext.cpmap.choi_blocks[0]))
     residuals = {
@@ -419,15 +412,17 @@ def cmd_verify(args, instance, tols, timer) -> dict:
     return {"stages": stages}
 
 
-def _tolerance_factor(text: str) -> float:
-    """--tol value: a finite float >= 0."""
-    try:
-        factor = float(text)
-    except ValueError:
-        factor = np.nan
-    if not 0.0 <= factor < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
-    return factor
+def _bounded(cast, low, high, expected: str):
+    """argparse type of a value ``cast(text)`` from ``low`` to ``high``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = np.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
 # argparse keyword arguments of every flag.
@@ -437,14 +432,17 @@ OPTIONS = {
                   "help": "use the embedded worked example instance"},
     "--output": {"help": "write the JSON report to a file"},
     "--json": {"action": "store_true", "help": "print the JSON report to stdout"},
-    "--tol": {"type": _tolerance_factor, "default": 1.0,
+    "--tol": {"type": _bounded(float, 0.0, sys.float_info.max,
+                               "a finite value >= 0"), "default": 1.0,
               "help": "scale factor applied to all stage tolerances"},
     "--timings": {"action": "store_true",
                   "help": "include wall-clock timings (non-deterministic)"},
     "--emit-matrices": {"action": "store_true",
                         "help": "include result matrices in the report"},
     "--random": {"action": "store_true", "help": "generate a random instance"},
-    "--dims": {"type": int, "default": 4,
+    "--dims": {"type": _bounded(int, 2, AMBIENT_CAP,
+                                f"an integer from 2 to {AMBIENT_CAP}"),
+               "default": 4,
                "help": "maximum ambient dimension for --random"},
     "--rng-seed": {"type": int, "default": 0, "help": "seed for --random"},
     "--map": {"help": "name of the CP map in the instance file"},

@@ -143,11 +143,6 @@ def covariance_residual(s: CPMap, f, g) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_covariance(s: CPMap, f, g, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the vector states transport through S: φ_f = φ_g ∘ S."""
-    return covariance_residual(s, f, g) <= tol
-
-
 @dataclass(frozen=True)
 class KrausForm:
     """Kraus operators and the assembled Stinespring isometry of a map

@@ -20,11 +20,11 @@ from .algebra import (AlgebraElement, adjoint_permutation, coordinates,
                       structure_constants)
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
-from .numerics import DEFAULT_TOL, frob, frob_each
+from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob, frob_each
 from .vnmodule import (GNSData, QONS, embed_qons, gns, polar_decompose_module,
                        qons)
 
-VERIFY_TOL = 1e-9
+VERIFY_TOL = RESIDUAL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class WeakTensorDilation:
         return slice_map(m, self.psi_vector, self.cpmap.target.ambient_dim)
 
 
-def verify_dilation(d: WeakTensorDilation, tol: float = VERIFY_TOL) -> DilationCertificate:
+def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     """Recompute every dilation identity directly from the stored matrices.
 
     Checks multiplicativity and *-preservation of j over the coordinate
@@ -141,7 +141,7 @@ def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
                            j_ops=j_ops, p_i_matrix=emb.p_i_matrix,
                            absxi=absxi, gns_data=data, system=system)
-    return replace(d, certificate=verify_dilation(d, tol))
+    return replace(d, certificate=verify_dilation(d))
 
 
 def weak_tensor_dilation(s: CPMap, seed_qons=None, tol: float = DEFAULT_TOL,

@@ -28,8 +28,17 @@ from .dilation import (WeakTensorDilation, verify_dilation,
 from .errors import (InconsistentSystem, NotCovariant, NotCyclic,
                      NotExtension, NotInAlgebra, NotInCommutant,
                      StateMismatch)
-from .numerics import DEFAULT_TOL, frob, frob_each, matrix_rank
+from .numerics import (DEFAULT_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR, floored,
+                       frob, frob_each, matrix_rank)
 from .vnmodule import GNSData, gns
+
+# The standing duality hypotheses: the DualityContext flag that records
+# each one, and the exception and message when it fails.
+HYPOTHESES = {
+    "covariant": (NotCovariant, "states are not covariant for S"),
+    "f_cyclic_for_source": (NotCyclic, "f not cyclic for A"),
+    "g_cyclic_for_target_commutant": (NotCyclic, "g not cyclic for B'"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,21 +61,38 @@ class DualityContext:
     def dim_f(self) -> int:
         return self.source.ambient_dim
 
+    def require(self, *flags: str) -> None:
+        """Raise the exception of the first of the hypotheses ``flags``, in
+        the order given, that fails; the covariance message adds its
+        residual."""
+        for flag in flags:
+            if not getattr(self, flag):
+                error, message = HYPOTHESES[flag]
+                if flag == "covariant":
+                    message += f" (residual {self.covariance_residual:.3e})"
+                raise error(message)
+
+
+def _context(s: CPMap, f, g, tol: float, **fields) -> DualityContext:
+    """Context of S with its covariance flag; ``fields`` holds the algebras
+    and the cyclicity flags."""
+    res = covariance_residual(s, f, g)
+    return DualityContext(cpmap=s, f=f, g=g,
+                          covariant=res <= floored(tol, RESIDUAL_FLOOR),
+                          covariance_residual=res, **fields)
+
 
 def build_context(source, target, s: CPMap, f, g,
                   tol: float = DEFAULT_TOL) -> DualityContext:
     """Compute the cyclicity and covariance flags for a duality instance."""
     f = check_unit_vector(f)
     g = check_unit_vector(g)
-    res = covariance_residual(s, f, g)
-    return DualityContext(
-        source=source, target=target, cpmap=s, f=f, g=g,
-        source_commutant=commutant(source),
-        target_commutant=commutant(target),
+    target_commutant = commutant(target)
+    return _context(
+        s, f, g, tol, source=source, target=target,
+        source_commutant=commutant(source), target_commutant=target_commutant,
         f_cyclic_for_source=is_cyclic(source, f, tol),
-        g_cyclic_for_target_commutant=is_cyclic(commutant(target), g, tol),
-        covariant=res <= max(tol, 1e-9),
-        covariance_residual=res)
+        g_cyclic_for_target_commutant=is_cyclic(target_commutant, g, tol))
 
 
 def _stinespring_isometry(x, y, tol: float, what: str) -> np.ndarray:
@@ -84,7 +110,7 @@ def _stinespring_isometry(x, y, tol: float, what: str) -> np.ndarray:
     cross = np.tensordot(y, xc, axes=([0, 2], [0, 2]))
     v = np.linalg.solve(normal.T, cross.T).T
     defect = frob(v.conj().T @ v - np.eye(v.shape[1]))
-    if defect > max(tol, 1e-8) * max(1.0, np.sqrt(v.shape[1])):
+    if defect > floored(tol, IDENTITY_FLOOR, np.sqrt(v.shape[1])):
         raise InconsistentSystem(
             f"{what} is not well-defined on the span "
             f"(residual {defect:.3e})", defect)
@@ -100,11 +126,7 @@ def xi_prime(ctx: DualityContext, data: GNSData,
     (ρ, ξg) of the state φ_f = φ_g∘S on A, so a covariance violation
     surfaces as InconsistentSystem, never as a silent projection.
     """
-    if not ctx.covariant:
-        raise NotCovariant(
-            f"states are not covariant (residual {ctx.covariance_residual:.3e})")
-    if not ctx.f_cyclic_for_source:
-        raise NotCyclic("f is not cyclic for A")
+    ctx.require("covariant", "f_cyclic_for_source")
     return _stinespring_isometry(basis_action(ctx.source, ctx.f),
                                  data.rho_ops @ (data.xi @ ctx.g), tol,
                                  "dual isometry")
@@ -117,14 +139,14 @@ def dual_map(ctx: DualityContext, tol: float = DEFAULT_TOL,
     Unital and covariant the other way round: φ_f∘S' = φ_g.  Raises
     NotInCommutant when a compression fails membership in A'.
     """
-    if not ctx.f_cyclic_for_source:
-        raise NotCyclic("f is not cyclic for A")
+    ctx.require("f_cyclic_for_source")
     if data is None:
         data = gns(ctx.cpmap, tol)
     xp = xi_prime(ctx, data, tol)
     compressed = xp.conj().T @ data.rho_prime_ops @ xp
     try:
-        el = decompose(ctx.source_commutant, compressed, max(tol, 1e-9))
+        el = decompose(ctx.source_commutant, compressed,
+                       floored(tol, RESIDUAL_FLOOR))
     except NotInAlgebra as exc:
         raise NotInCommutant(
             f"ξ'*ρ'(b')ξ' is not in the source commutant: {exc}") from exc
@@ -153,17 +175,25 @@ def state_transport_residual(ctx: DualityContext, s_prime: CPMap) -> float:
 
 def swap_context(ctx: DualityContext, s_prime: CPMap,
                  tol: float = DEFAULT_TOL) -> DualityContext:
-    """Context with the roles of (A, f) and (B', g) exchanged."""
-    return build_context(ctx.target_commutant, ctx.source_commutant,
-                         s_prime, ctx.g, ctx.f, tol)
+    """Context of S' with the roles of (A, f) and (B', g) exchanged.
+
+    Only the covariance of S' is computed: "f cyclic for the source" of
+    the swapped context is "g cyclic for B'" of ``ctx`` and the other way
+    round, and the commutant of a commutant is the algebra itself.
+    """
+    return _context(
+        s_prime, ctx.g, ctx.f, tol, source=ctx.target_commutant,
+        target=ctx.source_commutant, source_commutant=ctx.target,
+        target_commutant=ctx.source,
+        f_cyclic_for_source=ctx.g_cyclic_for_target_commutant,
+        g_cyclic_for_target_commutant=ctx.f_cyclic_for_source)
 
 
 def double_dual(ctx: DualityContext, s_prime: CPMap,
                 tol: float = DEFAULT_TOL):
     """Dualize the dual map S' of ``ctx`` once more; returns
     (S'', ‖S'' − S‖ on coordinates)."""
-    if not ctx.g_cyclic_for_target_commutant:
-        raise NotCyclic("g is not cyclic for B'")
+    ctx.require("g_cyclic_for_target_commutant")
     swapped = swap_context(ctx, s_prime, tol)
     s_second = dual_map(swapped, tol)
     distance = frob(s_second.action - ctx.cpmap.action)
@@ -211,8 +241,7 @@ def _restriction_residual(ctx: DualityContext, z: CPMap) -> float:
     return float(np.max(frob_each(za - sa)))
 
 
-def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
-                            d_prime: WeakTensorDilation,
+def extension_from_dilation(ctx: DualityContext, d_prime: WeakTensorDilation,
                             tol: float = DEFAULT_TOL) -> Extension:
     """Extension of S from a weak tensor dilation of the dual map.
 
@@ -221,8 +250,7 @@ def extension_from_dilation(ctx: DualityContext, s_prime: CPMap,
     B'), and Z(x) = ξ*(x⊗I_L)ξ.  Verifies restriction to S and state
     transport.
     """
-    if not ctx.g_cyclic_for_target_commutant:
-        raise NotCyclic("g is not cyclic for B'")
+    ctx.require("g_cyclic_for_target_commutant")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
     xi = _stinespring_isometry(basis_action(ctx.target_commutant, ctx.g),
                                d_prime.j_ops @ anchor, tol,
@@ -278,14 +306,9 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
     A), StateMismatch (ξg is not of the form f⊗ℓ).  A map that is no
     extension of S is thus rejected before state transport is tested.
     """
-    if not ctx.f_cyclic_for_source:
-        raise NotCyclic("f is not cyclic for A")
-    if not ctx.covariant:
-        raise NotCovariant(
-            f"states are not covariant (residual {ctx.covariance_residual:.3e})")
-
+    ctx.require("f_cyclic_for_source", "covariant")
     restriction = _restriction_residual(ctx, z)
-    if restriction > max(tol, 1e-8) * 10:
+    if restriction > floored(tol, IDENTITY_FLOOR, 10):
         raise NotExtension(
             f"map does not restrict to S on A (residual {restriction:.3e})")
 
@@ -297,7 +320,7 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
     xig = xi @ ctx.g
     ell = np.einsum("u,lu->l", np.conj(ctx.f), xig.reshape(l_dim, dim_f))
     mismatch = frob(xig - np.kron(ell, ctx.f))
-    if mismatch > max(tol, 1e-8) * 10:
+    if mismatch > floored(tol, IDENTITY_FLOOR, 10):
         raise StateMismatch(
             f"ξg is not of the form f⊗ℓ (residual {mismatch:.3e}); "
             "the extension does not transport the states")
@@ -311,7 +334,7 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
 
     d = WeakTensorDilation(cpmap=s_prime, k_dim=l_dim, psi_vector=ell,
                            j_ops=j_ops, p_i_matrix=p_h)
-    return replace(d, certificate=verify_dilation(d, tol))
+    return replace(d, certificate=verify_dilation(d))
 
 
 def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,
@@ -349,13 +372,7 @@ def extend_cp_map(ctx: DualityContext, tol: float = DEFAULT_TOL) -> Extension:
     faithful on B, and the pure state φ_f = φ_g∘S then forces
     S = φ_f(·)·1, whose extension is Z = S.
     """
-    if not ctx.covariant:
-        raise NotCovariant(
-            f"states are not covariant (residual {ctx.covariance_residual:.3e})")
-    if not ctx.f_cyclic_for_source:
-        raise NotCyclic("f is not cyclic for A")
-    if not ctx.g_cyclic_for_target_commutant:
-        raise NotCyclic("g is not cyclic for B'")
-    s_prime = dual_map(ctx, tol)
-    d_prime = weak_tensor_dilation(s_prime, tol=tol)
-    return extension_from_dilation(ctx, s_prime, d_prime, tol)
+    ctx.require("covariant", "f_cyclic_for_source",
+                "g_cyclic_for_target_commutant")
+    d_prime = weak_tensor_dilation(dual_map(ctx, tol), tol=tol)
+    return extension_from_dilation(ctx, d_prime, tol)

@@ -15,11 +15,12 @@ from .algebra import (AlgebraElement, MatrixBlockAlgebra, check_unit_vector,
                       element, make_algebra)
 from .cpmap import CPMap, make_cpmap
 from .errors import InputError
+from .numerics import DEFAULT_TOL, GOLDEN_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR
 
 SCHEMA_VERSION = 1
 # Default tolerance of each checked stage; a file's "tolerances" may override them.
-STAGE_TOLERANCES = {"construct": 1e-10, "verify": 1e-9, "golden": 1e-12,
-                    "roundtrip": 1e-8}
+STAGE_TOLERANCES = {"construct": DEFAULT_TOL, "verify": RESIDUAL_FLOOR,
+                    "golden": GOLDEN_TOL, "roundtrip": IDENTITY_FLOOR}
 # What parsing raises on an entry of the wrong type or shape, or a missing key.
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 

@@ -1,10 +1,17 @@
-"""Dense complex-matrix kernel with explicit tolerances.
+"""Dense complex-matrix kernel and the package's one threshold policy.
 
 All decompositions used elsewhere in the package funnel through this module
 so that thresholding and eigenvector phase conventions are fixed in exactly
-one place.  Tolerances are relative to the spectral scale of the input; the
-matrices handled here are O(1) at desk scale, so the default of 1e-10 leaves
-five to six orders of magnitude of headroom above double-precision noise.
+one place, and every threshold of the package is declared here once.
+
+Rank decisions are relative: a singular value or eigenvalue counts when it
+exceeds ``tol`` times the largest one.  Residual checks are absolute: a
+residual passes when it is at most ``floored(tol, floor, size)``, so a
+floor keeps a tiny ``tol`` from failing rounding noise and ``size`` (a
+dimension, its square root or a trace) lets the bound grow with the sum
+that is checked.  The matrices handled here are O(1) at desk scale, so the
+rank cut sits about six decades and the floors about seven above the
+double-precision rounding of 2.2e-16.
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,23 @@ import numpy as np
 
 from .errors import NonFinite, NonHermitian, NotPSD
 
+# Relative: the rank cut of every Choi, Gram and cyclicity decision.
 DEFAULT_TOL = 1e-10
+# Absolute: membership, covariance, seed and dilation certificate residuals.
+RESIDUAL_FLOOR = 1e-9
+# Absolute, scaled by size: isometry defects, QONS completeness, restriction,
+# state transport, integer multiplicities and unit-vector norms.
+IDENTITY_FLOOR = 1e-8
+# Absolute: the worked example's closed-form values.
+GOLDEN_TOL = 1e-12
+# The samplers' cut for singular draws, relative in their rank tests and
+# absolute in their membership and norm tests.
+DRAW_CUT = 1e-8
+
+
+def floored(tol: float, floor: float, size: float = 1.0) -> float:
+    """The threshold max(tol, floor)·max(1, size) of an absolute check."""
+    return max(tol, floor) * max(1.0, size)
 
 
 def as_complex(m) -> np.ndarray:

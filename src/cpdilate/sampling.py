@@ -16,7 +16,7 @@ from .algebra import (MatrixBlockAlgebra, commutant, coordinate_basis,
                       make_algebra, represent, state_value)
 from .cpmap import CPMap, apply, make_cpmap
 from .duality import DualityContext, build_context
-from .numerics import DEFAULT_TOL, psd_functions
+from .numerics import DEFAULT_TOL, DRAW_CUT, psd_functions
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -87,7 +87,7 @@ def random_cp_map(rng, source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
         for u in range(d):
             for v in range(d):
                 blk = c[u * n_g:(u + 1) * n_g, v * n_g:(v + 1) * n_g]
-                cols.append(coordinates(decompose(target, blk, 1e-8)))
+                cols.append(coordinates(decompose(target, blk, DRAW_CUT)))
     action = np.stack(cols, axis=1)
     return make_cpmap(source, target, action, tol)
 
@@ -105,7 +105,7 @@ def random_unital_cp_map(rng, source: MatrixBlockAlgebra,
         sandwich_blocks = []
         ok = True
         for b in unit.block_matrices:
-            fns = psd_functions(b, 1e-8)
+            fns = psd_functions(b, DRAW_CUT)
             if fns.rank < b.shape[0]:
                 ok = False
                 break
@@ -134,7 +134,7 @@ def random_covariant_context(rng, max_ambient: int = 6,
         b_alg = random_standard_algebra(rng, max_ambient, profile="wide")
         s = random_unital_cp_map(rng, a_alg, b_alg, tol)
         g = random_unit_vector(rng, b_alg.ambient_dim)
-        if not is_cyclic(commutant(b_alg), g, 1e-8):
+        if not is_cyclic(commutant(b_alg), g, DRAW_CUT):
             continue
         f = _covariant_partner(s, g)
         if f is None:
@@ -160,7 +160,7 @@ def _covariant_partner(s: CPMap, g) -> np.ndarray:
                 rho[u, v] = omega[pos + v * d + u]
         pos += d * d
         rho = 0.5 * (rho + rho.conj().T)
-        fns = psd_functions(rho, 1e-8)
+        fns = psd_functions(rho, DRAW_CUT)
         if fns.rank < m:
             return None
         factor = fns.sqrt[:, :]
@@ -169,6 +169,6 @@ def _covariant_partner(s: CPMap, g) -> np.ndarray:
         parts.append(factor.reshape(-1))
     f = np.concatenate(parts)
     nrm = np.linalg.norm(f)
-    if nrm < 1e-8:
+    if nrm < DRAW_CUT:
         return None
     return f / nrm

@@ -28,8 +28,8 @@ from .algebra import (AlgebraElement, MatrixBlockAlgebra, commutant,
 from .cpmap import CPMap, stinespring_blocks
 from .errors import (BadSeed, DimensionCap, IncompleteQONS, NotCP,
                      NotInAlgebra, NotInTargetAlgebra)
-from .numerics import (DEFAULT_TOL, as_complex, frob, frob_each,
-                       hermitian_eig, psd_functions)
+from .numerics import (DEFAULT_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR, as_complex,
+                       floored, frob, frob_each, hermitian_eig, psd_functions)
 
 H_DIM_CAP = 512
 
@@ -151,7 +151,7 @@ def _intertwiner_dimension(target_comm: MatrixBlockAlgebra,
         diagonal = rho_prime_ops[off + np.arange(dim_m) * (dim_m + 1)]
         trace = float(np.real(np.trace(diagonal, axis1=1, axis2=2).sum()))
         mu = trace / dim_m
-        if abs(mu - round(mu)) > max(tol, 1e-8) * max(1.0, trace):
+        if abs(mu - round(mu)) > floored(tol, IDENTITY_FLOOR, trace):
             raise ArithmeticError(f"non-integer isotypic multiplicity {mu}")
         total += mult_d * int(round(mu))
     return total
@@ -172,7 +172,7 @@ def inner_product(data: GNSData, x, y, tol: float = DEFAULT_TOL) -> AlgebraEleme
     y = as_complex(y)
     prod = x.conj().T @ y
     try:
-        return alg_mod.decompose(data.target, prod, max(tol, 1e-9))
+        return alg_mod.decompose(data.target, prod, floored(tol, RESIDUAL_FLOOR))
     except NotInAlgebra as exc:
         raise NotInTargetAlgebra(str(exc), exc.residual) from exc
 
@@ -188,7 +188,7 @@ def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):
     t = inner_product(data, x, x, tol)
     scale = 0.0
     for b in t.block_matrices:
-        eig = hermitian_eig(b, max(tol, 1e-9))
+        eig = hermitian_eig(b, floored(tol, RESIDUAL_FLOOR))
         if eig.values.size:
             scale = max(scale, eig.scale)
     sqrt_blocks, pinv_blocks, supp_blocks = [], [], []
@@ -333,7 +333,7 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     size K = maxᵢ ⌈μᵢ/dᵢ⌉.  Every new element is checked to intertwine B'.
     """
     elements, projections = [], []
-
+    limit = floored(tol, RESIDUAL_FLOOR)
     if seed is None:
         seed = [data.xi] if data.cpmap.is_unital else []
     for raw in seed:
@@ -344,23 +344,23 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
             raise BadSeed(f"seed element is not in the module: {exc}") from exc
         herm = max(frob(b - b.conj().T) for b in t.block_matrices)
         idem = (t @ t - t).norm()
-        if herm > max(tol, 1e-9) or idem > max(tol, 1e-9):
+        if herm > limit or idem > limit:
             raise BadSeed(
                 f"seed self-product is not a projection (residuals {herm:.3e}, {idem:.3e})")
         for prev in elements:
             cross = frob(prev.conj().T @ e)
-            if cross > max(tol, 1e-9):
+            if cross > limit:
                 raise BadSeed(f"seed elements are not orthogonal (residual {cross:.3e})")
         elements.append(e)
         projections.append(t)
     seed_intertwining = _intertwining_residual(data, elements)
-    if seed_intertwining > max(tol, 1e-9):
+    if seed_intertwining > limit:
         raise BadSeed("seed element does not intertwine B' "
                       f"(residual {seed_intertwining:.3e})")
 
     new, new_projections = _isotypic_completion(data, elements, projections)
     intertwining = _intertwining_residual(data, new)
-    if intertwining > max(tol, 1e-9):
+    if intertwining > limit:
         raise ArithmeticError("completion does not intertwine B' "
                               f"(residual {intertwining:.3e})")
     elements += new
@@ -369,7 +369,7 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     p_total = sum(e @ e.conj().T for e in elements) if elements \
         else np.zeros((data.h_dim, data.h_dim), dtype=np.complex128)
     completeness = frob(p_total - np.eye(data.h_dim))
-    if completeness > max(tol, 1e-8) * max(1.0, data.h_dim ** 0.5):
+    if completeness > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS(
             f"system does not sum to the identity (residual {completeness:.3e})")
     relation = _qons_relation_residual(elements, projections)
@@ -392,17 +392,10 @@ class ModuleEmbedding:
     p_i_matrix: np.ndarray
     system: QONS
 
-    def coefficient(self, data: GNSData, j: int, i: int, a: AlgebraElement,
-                    tol: float = DEFAULT_TOL) -> AlgebraElement:
-        """Matrix coefficient ⟨e_j, a·e_i⟩ ∈ p_j B p_i."""
-        ej = self.system.elements[j]
-        ei = self.system.elements[i]
-        return inner_product(data, ej, data.rho(a) @ ei, tol)
-
 
 def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleEmbedding:
     """Embed H into G⊗K through a complete QONS; K_dim = |system|."""
-    if system.completeness_residual > max(tol, 1e-8) * max(1.0, data.h_dim ** 0.5):
+    if system.completeness_residual > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS("embedding requires a complete system")
     u = np.vstack([e.conj().T for e in system.elements])
     return ModuleEmbedding(k_dim=len(system), u=u,

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate.algebra import (adjoint_permutation, basis_action,
-                              basis_sandwich, commutant,
-                              conditional_expectation, coordinate_basis,
+                              basis_sandwich, commutant, coordinate_basis,
                               coordinate_basis_stack, coordinates, decompose,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
-                              represent, state_value, structure_constants,
-                              zero)
+                              represent, slice_map, state_value,
+                              structure_constants, zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
 
 from conftest import null_space, tensor_with_factor
@@ -180,19 +179,25 @@ class TestCyclicity:
         assert is_cyclic(alg, np.array([1.0, 1.0]) / np.sqrt(2))
 
 
+def conditional_expectation(target, psi):
+    """The slice map B⊗B(K) → B of the vector state ψ on K, followed by
+    membership in B."""
+    return lambda m: decompose(target, slice_map(m, psi, target.ambient_dim))
+
+
 class TestConditionalExpectation:
     def test_b_tensor_identity(self, rng):
         target = make_algebra([(2, 1)])
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
-        exp = conditional_expectation(target, 3, psi)
+        exp = conditional_expectation(target, psi)
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = tensor_with_factor(b, 3, np.eye(3))
         assert_allclose(represent(exp(m)), b, atol=1e-12)
 
     def test_orthogonal_rank_one_kills(self):
         target = make_algebra([(2, 1)])
-        exp = conditional_expectation(target, 2, np.array([1.0, 0.0]))
+        exp = conditional_expectation(target, np.array([1.0, 0.0]))
         proj_k1 = np.diag([0.0, 1.0])
         m = tensor_with_factor(np.eye(2), 2, proj_k1)
         assert_allclose(represent(exp(m)), 0 * np.eye(2), atol=1e-14)
@@ -201,7 +206,7 @@ class TestConditionalExpectation:
         target = make_algebra([(1, 1), (1, 1)])
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
-        exp = conditional_expectation(target, 3, psi)
+        exp = conditional_expectation(target, psi)
         assert_allclose(represent(exp(np.eye(6))), np.eye(2), atol=1e-13)
         # positivity on T*T for random T in B ⊗ B(K)
         for _ in range(5):
@@ -218,7 +223,7 @@ class TestConditionalExpectation:
         # hand-built dilation matrix of the worked two-state example: the
         # k0-slot compression must give back S, block (1,0) is (a1-a2)/2 p1
         target = make_algebra([(1, 1), (1, 1)])
-        exp = conditional_expectation(target, 3, np.array([1.0, 0.0, 0.0]))
+        exp = conditional_expectation(target, np.array([1.0, 0.0, 0.0]))
         for a1, a2 in [(1.0, 0.0), (0.3, -0.7)]:
             s = 0.5 * (a1 + a2)
             t = 0.5 * (a1 - a2)

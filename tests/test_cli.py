@@ -316,6 +316,25 @@ def test_tol_must_be_finite_and_non_negative(value, tmp_path):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "1", "65", "200", "3.5", "x"])
+def test_dims_must_be_an_ambient_dimension_under_the_cap(value, tmp_path):
+    report = tmp_path / REPORT_FILE
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dilate", "--random", "--dims", value,
+                      "--output", str(report)])
+    assert exc.value.code == 2
+    assert "argument --dims: expected an integer from 2 to 64" in err.getvalue()
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["2", "64"])
+def test_dims_at_the_bounds_run(value):
+    result = capture(["dilate", "--random", "--dims", value, "--json"])
+    assert result["code"] == 0, result["stderr"]
+
+
 def test_seed_of_another_map_is_an_input_error(tmp_path, monkeypatch):
     _write_instances(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -163,9 +163,11 @@ class TestVerifyDilation:
 
     def test_certificate_reports_only(self, worked_map):
         d = weak_tensor_dilation(worked_map)
-        cert = verify_dilation(d, tol=1e-16)
-        # tighter tolerance flips the verdict, never raises
-        assert cert.max_residual > 0 or cert.passed(1e-16)
+        cert = verify_dilation(d)
+        # the certificate only reports: a tighter tolerance flips the
+        # verdict, and nothing raises
+        assert cert.passed()
+        assert cert.passed(1e-16) == (cert.max_residual <= 1e-16)
 
 
 class TestNonunitalRecovery:

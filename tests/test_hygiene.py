@@ -97,3 +97,54 @@ def test_detects_an_unread_private_function():
 
 def test_every_private_function_is_read():
     assert unread_functions(package_sources(), private=True) == []
+
+
+def small_float_literals(source: str) -> list:
+    """Float literals x with 0 < |x| < 1e-6: thresholds, which belong in
+    ``numerics``."""
+    return sorted(f"{node.value!r} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and type(node.value) is float and 0 < abs(node.value) < 1e-6)
+
+
+def unread_parameters(source: str, exempt_prefix: str = "cmd_") -> list:
+    """Parameters that the body of their function never reads, for every
+    function whose name does not start with ``exempt_prefix``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name.startswith(exempt_prefix):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [f"{node.name}.{a.arg} (line {node.lineno})"
+                for a in params if a.arg not in read]
+    return sorted(out)
+
+
+def test_detects_a_small_float_literal():
+    source = "TOL = 1e-9\nx = max(t, -2.5e-8) * 0.5\ny = 1e-6 + 1e-300j\n"
+    assert small_float_literals(source) == ["1e-09 (line 1)", "2.5e-08 (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "numerics.py"], ids=lambda p: p.name)
+def test_thresholds_live_in_numerics(path):
+    assert small_float_literals(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + c\n\n\n"
+              "def cmd_x(args, timer):\n    pass\n\n\n"
+              "def g(x):\n    def h():\n        return x\n    return h\n")
+    assert unread_parameters(source) == [
+        "f.b (line 1)", "f.kw (line 1)", "f.rest (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

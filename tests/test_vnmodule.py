@@ -454,7 +454,9 @@ class TestEmbedding:
         a = element(worked_map.source, [np.array([[0.3]]), np.array([[-1.1]])])
         for j in range(3):
             for i in range(3):
-                c = emb.coefficient(worked_gns, j, i, a)
+                # the matrix coefficient ⟨e_j, a·e_i⟩ ∈ p_j B p_i
+                c = inner_product(worked_gns, emb.system.elements[j],
+                                  worked_gns.rho(a) @ emb.system.elements[i])
                 pj = emb.system.projections[j]
                 pi = emb.system.projections[i]
                 sandwiched = pj @ c @ pi
