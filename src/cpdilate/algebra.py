@@ -198,19 +198,6 @@ def coordinate_basis(alg: MatrixBlockAlgebra):
     return basis
 
 
-def structure_constants(alg: MatrixBlockAlgebra) -> np.ndarray:
-    """Products of the coordinate basis: ``out[a, b]`` holds the
-    coordinates of x_a·x_b.  Within a block E_uv·E_vz = E_uz, and every
-    other product of matrix units vanishes.
-    """
-    n = alg.coord_dim
-    out = np.zeros((n, n, n), dtype=np.complex128)
-    for off, (d, _) in zip(alg.coord_offsets(), alg.blocks):
-        u, v, z = np.indices((d, d, d))
-        out[off + u * d + v, off + v * d + z, off + u * d + z] = 1.0
-    return out
-
-
 def coordinate_basis_stack(alg: MatrixBlockAlgebra) -> AlgebraElement:
     """The coordinate basis as one element with a leading batch axis of
     length n, ordered like ``coordinate_basis``."""

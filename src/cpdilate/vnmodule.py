@@ -66,10 +66,6 @@ class GNSData:
         """Stinespring representation of a source element."""
         return np.tensordot(coordinates(a), self.rho_ops, axes=1)
 
-    def rho_prime(self, c: AlgebraElement) -> np.ndarray:
-        """Commutant lifting of a target-commutant element."""
-        return np.tensordot(coordinates(c), self.rho_prime_ops, axes=1)
-
     @cached_property
     def module_basis(self) -> np.ndarray:
         """HS-orthonormal basis of E, (module_dim, H, G), built on first read.

@@ -29,6 +29,34 @@ def worked_map(two_point_algebra):
     return make_cpmap(alg, alg, 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def structure_constants(alg) -> np.ndarray:
+    """Products of the coordinate basis: ``out[a, b]`` holds the
+    coordinates of x_a·x_b.  Within a block E_uv·E_vz = E_uz, and every
+    other product of matrix units vanishes.
+    """
+    n = alg.coord_dim
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for off, (d, _) in zip(alg.coord_offsets(), alg.blocks):
+        u, v, z = np.indices((d, d, d))
+        out[off + u * d + v, off + v * d + z, off + u * d + z] = 1.0
+    return out
+
+
+def exhaustive_homomorphism_residual(source, j_ops) -> float:
+    """max ‖j(x_a)·j(x_b) − j(x_a·x_b)‖ over all n_A² pairs of coordinate
+    basis elements: the oracle of the matrix-unit relations that
+    ``verify_dilation`` checks.  One of its n_A iterations holds two arrays
+    of n_A·(K·G)² entries.
+    """
+    prods = structure_constants(source)
+    worst = 0.0
+    for a in range(source.coord_dim):
+        actual = np.einsum("ij,bjk->bik", j_ops[a], j_ops, optimize=True)
+        actual -= np.tensordot(prods[a], j_ops, axes=([1], [0]))
+        worst = max(worst, float(np.max(frob_each(actual))))
+    return worst
+
+
 def random_hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)

@@ -9,11 +9,10 @@ from cpdilate.algebra import (adjoint_permutation, basis_action,
                               coordinate_basis_stack, coordinates, decompose,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
-                              represent, slice_map, state_value,
-                              structure_constants, zero)
+                              represent, slice_map, state_value, zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
 
-from conftest import null_space, tensor_with_factor
+from conftest import null_space, structure_constants, tensor_with_factor
 
 
 class TestMakeAlgebra:

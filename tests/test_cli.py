@@ -335,6 +335,15 @@ def test_dims_at_the_bounds_run(value):
     assert result["code"] == 0, result["stderr"]
 
 
+def test_extend_at_the_dims_cap_certifies_its_dilation():
+    # seed 1 draws an S' with n_B' = 162 and K·G = 270, whose dilation an
+    # n_A²-product homomorphism check could not certify in minutes
+    result = capture(["extend", "--random", "--dims", "64", "--rng-seed", "1",
+                      "--json"])
+    assert result["code"] == 0, result["stderr"]
+    assert json.loads(result["stdout"])["pass"] is True
+
+
 def test_seed_of_another_map_is_an_input_error(tmp_path, monkeypatch):
     _write_instances(tmp_path)
     monkeypatch.chdir(tmp_path)

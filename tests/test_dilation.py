@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate import dilation
@@ -12,9 +14,11 @@ from cpdilate.dilation import (VERIFY_TOL, WeakTensorDilation,
                                nonunital_recovery, verify_dilation,
                                weak_tensor_dilation)
 from cpdilate.errors import NotUnital
+from cpdilate.numerics import frob
 from cpdilate.sampling import random_standard_algebra, random_unital_cp_map
 from cpdilate.vnmodule import gns
 
+from conftest import exhaustive_homomorphism_residual
 from test_vnmodule import worked_seed
 
 
@@ -164,10 +168,106 @@ class TestVerifyDilation:
     def test_certificate_reports_only(self, worked_map):
         d = weak_tensor_dilation(worked_map)
         cert = verify_dilation(d)
-        # the certificate only reports: a tighter tolerance flips the
-        # verdict, and nothing raises
-        assert cert.passed()
-        assert cert.passed(1e-16) == (cert.max_residual <= 1e-16)
+        # the certificate only reports residuals: the verdict is the
+        # caller's comparison with a tolerance, and nothing raises
+        assert cert.max_residual <= VERIFY_TOL
+
+
+def perturbed(d, index, size, rng):
+    """``d`` with j_ops[index] moved by a random matrix of Frobenius norm
+    ``size``."""
+    shape = d.j_ops.shape[1:]
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    j_ops = d.j_ops.copy()
+    j_ops[index] += size * delta / frob(delta)
+    return dataclasses.replace(d, j_ops=j_ops)
+
+
+def operator_norm_bound(source, j_ops) -> float:
+    """M of the certificate: max(1, ‖j(x)‖_op) over the matrix units x and
+    the block units j(1_i)."""
+    units = [j_ops[off:off + d * d:d + 1].sum(axis=0)
+             for off, (d, _) in zip(source.coord_offsets(), source.blocks)]
+    stack = np.concatenate([j_ops, np.stack(units)])
+    return max(1.0, float(np.max(np.linalg.norm(stack, ord=2, axis=(-2, -1)))))
+
+
+class TestHomomorphismCertificate:
+    """The matrix-unit relations R1–R3 against the exhaustive oracle over
+    all pairs of basis elements.
+
+    On an unperturbed draw the relations form products that the oracle
+    forms too, so the certificate is the oracle's residual up to rounding
+    (1e-2 relative).  On a perturbed draw the oracle is at most
+    c·homomorphism with c = (1 + 10·max_i d_i)·M⁴, the largest constant the
+    certificate states, and both flag the draw at VERIFY_TOL.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
+           st.sampled_from([None, -6, -4, -2]))
+    def test_agrees_with_the_exhaustive_oracle(self, seed, index, log_size):
+        rng = np.random.default_rng(seed)
+        source = random_standard_algebra(rng, 5)
+        s = random_unital_cp_map(rng, source, random_standard_algebra(rng, 5))
+        d = weak_tensor_dilation(s)
+        if log_size is not None:
+            d = perturbed(d, index % source.coord_dim, 10.0 ** log_size, rng)
+        got = verify_dilation(d).homomorphism
+        oracle = exhaustive_homomorphism_residual(source, d.j_ops)
+        assert (got > VERIFY_TOL) == (oracle > VERIFY_TOL)
+        if log_size is None:
+            assert got <= oracle * (1 + 1e-2)
+            assert oracle <= VERIFY_TOL
+        else:
+            c = (1 + 10 * max(dim for dim, _ in source.blocks)) \
+                * operator_norm_bound(source, d.j_ops) ** 4
+            assert got > VERIFY_TOL
+            assert oracle <= c * got
+
+    @pytest.mark.parametrize("dim, u, v", [
+        (2, 0, 1), (2, 1, 0), (3, 0, 1), (3, 0, 2), (3, 1, 0), (3, 1, 2),
+        (3, 2, 0), (3, 2, 1)])
+    def test_perturbed_off_diagonal_unit_is_caught(self, dim, u, v, rng):
+        source = make_algebra([(dim, 1)])
+        d = weak_tensor_dilation(random_unital_cp_map(rng, source, source))
+        assert d.certificate.homomorphism <= VERIFY_TOL
+        cert = verify_dilation(perturbed(d, u * dim + v, 1e-6, rng))
+        assert cert.homomorphism > VERIFY_TOL
+
+    def test_cross_block_product_is_caught(self, worked_map):
+        # j(1_2) += ε·j(1_1) on ℂ⊕ℂ makes j(1_1)·j(1_2) = ε·j(1_1)
+        d = weak_tensor_dilation(worked_map)
+        assert d.certificate.homomorphism <= VERIFY_TOL
+        j_ops = d.j_ops.copy()
+        j_ops[1] += 1e-6 * j_ops[0]
+        cert = verify_dilation(dataclasses.replace(d, j_ops=j_ops))
+        assert cert.homomorphism > VERIFY_TOL
+        assert cert.homomorphism >= 1e-6 * frob(d.j_ops[0]) * (1 - 1e-6)
+
+    def test_overlapping_block_units_are_caught(self, worked_map, rng):
+        # j(1_2) → U·j(1_2)·U* for a unitary U within 1e-6 of 1 keeps every
+        # relation of one block exact, and only R3 sees the overlap
+        d = weak_tensor_dilation(worked_map)
+        n = d.j_ops.shape[-1]
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam, vec = np.linalg.eigh(h + h.conj().T)
+        u = (vec * np.exp(1e-6j * lam / np.max(np.abs(lam)))) @ vec.conj().T
+        j_ops = d.j_ops.copy()
+        j_ops[1] = u @ j_ops[1] @ u.conj().T
+        cert = verify_dilation(dataclasses.replace(d, j_ops=j_ops))
+        assert cert.homomorphism > VERIFY_TOL
+
+    def test_vanishing_units_off_the_corner_are_caught(self, rng):
+        # j(E_00) = P and j(E_uv) = 0 otherwise satisfies R1 and the star
+        # identity, and only R2 sees j(E_01)·j(E_10) = 0 ≠ P
+        source = make_algebra([(2, 1)])
+        d = weak_tensor_dilation(random_unital_cp_map(rng, source, source))
+        j_ops = d.j_ops.copy()
+        j_ops[1:] = 0.0
+        cert = verify_dilation(dataclasses.replace(d, j_ops=j_ops))
+        assert cert.star <= VERIFY_TOL
+        assert cert.homomorphism > VERIFY_TOL
 
 
 class TestNonunitalRecovery:

@@ -105,7 +105,9 @@ class TestXiPrime:
         xp = xi_prime(worked_ctx, data)
         for a in coordinate_basis(worked_ctx.source):
             for b in coordinate_basis(worked_ctx.target_commutant):
-                lhs = data.rho_prime(b) @ xp @ represent(a) @ worked_ctx.f
+                rho_prime = np.tensordot(coordinates(b), data.rho_prime_ops,
+                                         axes=1)
+                lhs = rho_prime @ xp @ represent(a) @ worked_ctx.f
                 rhs = data.rho(a) @ data.xi @ represent(b) @ worked_ctx.g
                 assert np.linalg.norm(lhs - rhs) <= 1e-11
 

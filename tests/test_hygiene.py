@@ -1,11 +1,13 @@
 """Source hygiene checks that need no import of the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpdilate"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cpdilate"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -43,6 +45,32 @@ def unread_functions(sources: dict, private: bool, exported=()) -> list:
     return sorted(f"{module}:{name} (line {line})"
                   for (module, name), line in defined.items()
                   if name not in read and name not in exported)
+
+
+def unread_methods(sources: dict, readers=()) -> list:
+    """Methods and properties of the classes of the ``sources`` (module
+    name → text), dunder methods aside, that no source and no text of
+    ``readers`` reads as an attribute outside the method's own definition."""
+    defined = [(module, cls.name, node) for module, source in sources.items()
+               for cls in ast.walk(ast.parse(source))
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__")]
+    read = Counter(node.attr for text in [*sources.values(), *readers]
+                   for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Attribute))
+    return sorted(f"{module}:{cls}.{node.name} (line {node.lineno})"
+                  for module, cls, node in defined
+                  if read[node.name] == sum(
+                      isinstance(n, ast.Attribute) and n.attr == node.name
+                      for n in ast.walk(node)))
+
+
+def bench_sources() -> list:
+    """The benchmark's modules, its tests aside."""
+    return [p.read_text(encoding="utf-8")
+            for p in (ROOT / "bench").glob("*.py")
+            if not p.name.startswith("test_")]
 
 
 def package_sources() -> dict:
@@ -83,6 +111,26 @@ def test_every_public_function_is_read_or_exported():
     # has callers in the tests only, so it belongs in tests/conftest.py
     assert unread_functions(package_sources(), private=False,
                             exported=package_exports()) == []
+
+
+def test_detects_an_unread_method():
+    sources = {
+        "a": "class C:\n    def __init__(self):\n        pass\n\n"
+             "    def kept(self):\n        return self.prop\n\n"
+             "    @property\n    def prop(self):\n        pass\n\n"
+             "    def recursive(self):\n        return self.recursive()\n\n"
+             "    def unread(self):\n        pass\n",
+        "b": "import a\na.C().kept()\n",
+    }
+    assert unread_methods(sources) == ["a:C.recursive (line 12)",
+                                       "a:C.unread (line 15)"]
+    assert unread_methods(sources, ["x.recursive\n"]) == ["a:C.unread (line 15)"]
+
+
+def test_every_method_and_property_is_read():
+    # a method that only tests read belongs in the tests; bench/ counts as
+    # a reader, since the benchmark runs on the package's own names
+    assert unread_methods(package_sources(), bench_sources()) == []
 
 
 def test_detects_an_unread_private_function():

@@ -10,8 +10,7 @@ from numpy.testing import assert_allclose
 
 from cpdilate import algebra, cli, cpmap, numerics, vnmodule
 from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
-                              element, identity, make_algebra, represent,
-                              structure_constants)
+                              element, identity, make_algebra, represent)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
 from cpdilate.dilation import nonunital_recovery, weak_tensor_dilation
 from cpdilate.duality import dual_map
@@ -22,7 +21,8 @@ from cpdilate.sampling import (random_covariant_context,
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
                                module_element, polar_decompose_module, qons)
 
-from conftest import gram_schmidt_module_basis, intertwiner_space
+from conftest import (gram_schmidt_module_basis, intertwiner_space,
+                      structure_constants)
 
 
 @pytest.fixture
