@@ -16,9 +16,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import (AlgebraElement, MatrixBlockAlgebra, adjoint_permutation,
-                      coordinates, identity, project_to_algebra, represent,
-                      slice_map)
+from .algebra import (AlgebraElement, MatrixBlockAlgebra, coordinates,
+                      identity, project_to_algebra, represent, slice_map)
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
 from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob, frob_each
@@ -102,6 +101,20 @@ def _homomorphism_residual(source: MatrixBlockAlgebra, j_ops) -> float:
     return float(max([worst, *cross]))
 
 
+def _star_residual(source: MatrixBlockAlgebra, j_ops) -> float:
+    """max ‖j(E_vu) − j(E_uv)*‖ over the matrix units of A, compared one
+    row u of one block at a time, so no copy of the whole ``j_ops`` is
+    made."""
+    worst = 0.0
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        e = j_ops[off:off + d * d].reshape((d, d) + j_ops.shape[1:])
+        for u in range(d):
+            diff = e[:, u].copy()
+            diff -= np.conj(np.swapaxes(e[u], -1, -2))
+            worst = max(worst, float(np.max(frob_each(diff))))
+    return worst
+
+
 def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     """Recompute every dilation identity directly from the stored matrices.
 
@@ -117,11 +130,7 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     j_ops = d.j_ops
     hom = _homomorphism_residual(source, j_ops)
 
-    perm = adjoint_permutation(source)
-    diff = j_ops[perm]
-    diff -= np.conj(np.swapaxes(j_ops, -1, -2))
-    star = float(np.max(frob_each(diff)))
-    del diff
+    star = _star_residual(source, j_ops)
 
     # Every K×K block of every j(x) at once: (n_A, K, K, G, G).
     g_dim = target.ambient_dim
@@ -149,9 +158,7 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
 def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
               absxi: AlgebraElement = None) -> WeakTensorDilation:
     emb = embed_qons(data, system, tol)
-    u = emb.u
-    j_ops = np.einsum("ih,ahk,jk->aij", u, data.rho_ops, u.conj(),
-                      optimize=True)
+    j_ops = data.rho_basis_conjugation(emb.u)
     psi = np.zeros(emb.k_dim, dtype=np.complex128)
     psi[0] = 1.0
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,

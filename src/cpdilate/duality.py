@@ -128,7 +128,7 @@ def xi_prime(ctx: DualityContext, data: GNSData,
     """
     ctx.require("covariant", "f_cyclic_for_source")
     return _stinespring_isometry(basis_action(ctx.source, ctx.f),
-                                 data.rho_ops @ (data.xi @ ctx.g), tol,
+                                 data.rho_basis_action(data.xi @ ctx.g), tol,
                                  "dual isometry")
 
 
@@ -143,7 +143,7 @@ def dual_map(ctx: DualityContext, tol: float = DEFAULT_TOL,
     if data is None:
         data = gns(ctx.cpmap, tol)
     xp = xi_prime(ctx, data, tol)
-    compressed = xp.conj().T @ data.rho_prime_ops @ xp
+    compressed = data.rho_prime_compression(xp)
     try:
         el = decompose(ctx.source_commutant, compressed,
                        floored(tol, RESIDUAL_FLOOR))
@@ -283,9 +283,9 @@ def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
     reps_a = represent(coordinate_basis_stack(ctx.source))
     y = np.einsum("aij,ljg->alig", reps_a, xi.reshape(l_dim, dim_f, -1),
                   optimize=True).reshape(len(reps_a), l_dim * dim_f, -1)
-    v = _stinespring_isometry(data.rho_ops @ data.xi, y, tol,
+    v = _stinespring_isometry(data.rho_basis_action(data.xi), y, tol,
                               "commutant lifting")
-    return v @ data.rho_prime_ops @ v.conj().T, v @ v.conj().T
+    return data.rho_prime_compression(v.conj().T), v @ v.conj().T
 
 
 def dilation_from_extension(ctx: DualityContext, z: CPMap,

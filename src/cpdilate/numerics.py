@@ -79,15 +79,17 @@ class HermitianEig:
 
 
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] = col * (np.conj(pivot) / mag)
-    return out
+    """Multiply each column by conj(p)/|p| for its first coordinate p of
+    largest modulus; a zero column is left as it is.  |p| is taken with
+    ``np.hypot``, which rounds like the scalar ``abs``."""
+    if not vectors.size:
+        return vectors.copy()
+    pivot = vectors[np.argmax(np.abs(vectors), axis=0),
+                    np.arange(vectors.shape[1])]
+    mag = np.hypot(pivot.real, pivot.imag)
+    nonzero = mag > 0.0
+    phase = np.conj(pivot) / np.where(nonzero, mag, 1.0)
+    return np.where(nonzero, vectors * phase[None, :], vectors)
 
 
 def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:

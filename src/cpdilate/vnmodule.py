@@ -7,10 +7,13 @@ so H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i} is read off the Choi eigenpairs the map alrea
 holds, r_i = rank C_i under one relative cut.  The module E is realized as
 a space of operators G → H spanned by ρ(a)·ξ·b; it carries the B-valued
 inner product ⟨x, y⟩ = x*y, the Stinespring representation ρ of A, and the
-commutant lifting ρ' of B'.  E is the space of operators that intertwine
-ρ' with B', so it is fixed by the multiplicities μ_i of the irreducible
-blocks of B' in ρ': its dimension is Σᵢ dᵢ·μᵢ, dᵢ the multiplicity in G of
-block i of B', read off the traces of ρ'.  Both an HS-orthonormal basis of
+commutant lifting ρ' of B'.  Both are kept factored: ρ is the standard
+representation of ⊕_i M_{d_i}⊗I_{r_i}, and ρ' is I_{d_i}⊗τ_i on block i
+for small r_i×r_i stacks τ_i, so no stack of n matrices H×H is built.
+E is the space of operators that intertwine ρ' with B', so it is fixed by
+the multiplicities μ_i of the irreducible blocks of B' in ρ': its
+dimension is Σᵢ dᵢ·μᵢ, dᵢ the multiplicity in G of block i of B', read
+off the traces of the τ_i.  Both an HS-orthonormal basis of
 E and complete quasi-orthonormal systems (Paschke) are built from that
 decomposition in closed form, with no Gram–Schmidt: a seed, ξ for a unital
 map, is completed block by block of B', and with the seed ξ the system has
@@ -36,20 +39,25 @@ H_DIM_CAP = 512
 
 @dataclass(frozen=True)
 class GNSData:
-    """Stinespring bundle of a CP map.
+    """Stinespring bundle of a CP map, with ρ and ρ' kept factored.
 
-    ``rho_ops``/``rho_prime_ops`` hold the representation matrices of the
-    source coordinate basis and of the target-commutant coordinate basis on
-    H.  ``xi`` is the cyclic vector as an operator G → H, and
-    ``module_dim`` = Σ_b d_b·μ_b is the dimension of the module
-    E = span{ρ(a)·ξ·b} = C_{B'}(B(G, H)).  ``module_basis``, an
-    HS-orthonormal basis of E, is built only when read; ``bench/`` reads it.
+    ``h_alg`` = ⊕_i M_{d_i}⊗I_{r_i} is the image of A on H: ρ is its
+    standard representation, ρ(E^i_uv) = E_uv⊗I_{r_i}.  ``tau`` holds,
+    per source block i, the (n_{B'}, r_i, r_i) stack τ_i of the
+    target-commutant coordinate basis, and ρ'(c) = I_{d_i}⊗τ_i(c) on
+    block i of H.  No (n, H, H) stack of either representation is stored:
+    ``rho_basis_action``, ``rho_basis_conjugation`` and
+    ``rho_prime_compression`` apply them over a whole coordinate basis,
+    and ``rho`` materializes a single element.  ``xi`` is the
+    cyclic vector as an operator G → H, and ``module_dim`` = Σ_b d_b·μ_b
+    is the dimension of the module E = span{ρ(a)·ξ·b} = C_{B'}(B(G, H)).
+    ``module_basis``, an HS-orthonormal basis of E, is built only when
+    read; ``bench/`` reads it.
     """
 
     cpmap: CPMap
-    h_dim: int
-    rho_ops: np.ndarray
-    rho_prime_ops: np.ndarray
+    h_alg: MatrixBlockAlgebra
+    tau: tuple = field(repr=False)
     xi: np.ndarray
     module_dim: int
     gram_eigenvalues: np.ndarray = field(repr=False)
@@ -62,9 +70,62 @@ class GNSData:
     def target(self):
         return self.cpmap.target
 
+    @property
+    def h_dim(self) -> int:
+        return self.h_alg.ambient_dim
+
     def rho(self, a: AlgebraElement) -> np.ndarray:
-        """Stinespring representation of a source element."""
-        return np.tensordot(coordinates(a), self.rho_ops, axes=1)
+        """Stinespring representation of a source element, ⊕_i a_i⊗I_{r_i}."""
+        return represent(AlgebraElement(self.h_alg, a.block_matrices))
+
+    def rho_basis_action(self, v) -> np.ndarray:
+        """ρ(x_a)·v for every coordinate basis element x_a of A: (n_A, H)
+        for a vector v, (n_A, H, q) for an operator v of shape (H, q)."""
+        v = as_complex(v)
+        rows = v.reshape(self.h_dim, -1)
+        out = np.zeros((self.h_alg.coord_dim,) + rows.shape,
+                       dtype=np.complex128)
+        pos = 0
+        for off, (d, r) in zip(self.h_alg.coord_offsets(), self.h_alg.blocks):
+            # ρ(E_uw)·v holds the rows (w, k) of v in its rows (u, k)
+            block = rows[pos:pos + d * r].reshape(d, r, rows.shape[1])
+            for u in range(d):
+                out[off + u * d:off + (u + 1) * d,
+                    pos + u * r:pos + (u + 1) * r] = block
+            pos += d * r
+        return out.reshape((-1,) + v.shape)
+
+    def rho_basis_conjugation(self, u) -> np.ndarray:
+        """u·ρ(x_a)·u* for every coordinate basis element x_a of A, stacked
+        as (n_A, P, P) for u of shape (P, H).  With the column blocks U^i_v
+        (P, r_i) of u on block i of H, u·ρ(E^i_vw)·u* = U^i_v·(U^i_w)*."""
+        u = as_complex(u)
+        p = u.shape[0]
+        out = np.empty((self.h_alg.coord_dim, p, p), dtype=np.complex128)
+        pos = 0
+        for off, (d, r) in zip(self.h_alg.coord_offsets(), self.h_alg.blocks):
+            cols = u[:, pos:pos + d * r].reshape(p, d, r).transpose(1, 0, 2)
+            np.matmul(cols[:, None], cols.conj().transpose(0, 2, 1)[None],
+                      out=out[off:off + d * d].reshape(d, d, p, p))
+            pos += d * r
+        return out
+
+    def rho_prime_compression(self, x) -> np.ndarray:
+        """x*·ρ'(x_c)·x for every coordinate basis element x_c of B', stacked
+        as (n_{B'}, q, q) for x of shape (H, q): the sum over source blocks
+        i of Σ_u x_u*·τ_i(x_c)·x_u, x_u (r_i, q) the row blocks of x."""
+        x = as_complex(x)
+        q = x.shape[1]
+        n = len(self.tau[0])
+        out = np.zeros((n, q, q), dtype=np.complex128)
+        pos = 0
+        for (d, r), t in zip(self.h_alg.blocks, self.tau):
+            # rows (r, u) of x on block i, and τ_i(x_c) applied to each x_u
+            rows = x[pos:pos + d * r].reshape(d, r, q).transpose(1, 0, 2)
+            moved = t.reshape(n * r, r) @ rows.reshape(r, d * q)
+            out += rows.reshape(r * d, q).conj().T @ moved.reshape(n, r * d, q)
+            pos += d * r
+        return out
 
     @cached_property
     def module_basis(self) -> np.ndarray:
@@ -87,14 +148,42 @@ class GNSData:
         return np.concatenate(out)
 
 
+def _block_diagonal(data: GNSData, taus) -> np.ndarray:
+    """The H×H matrix ⊕_i I_{d_i}⊗taus[i], copied block by block.  A copy
+    keeps the sign of every zero of the τ_i, which a product with
+    coordinates does not, and a zero of the other sign can make the SVD
+    of ``_range_basis`` return a column of the opposite sign."""
+    out = np.zeros((data.h_dim, data.h_dim), dtype=np.complex128)
+    pos = 0
+    for (d, r), t in zip(data.h_alg.blocks, taus):
+        for _ in range(d):
+            out[pos:pos + r, pos:pos + r] = t
+            pos += r
+    return out
+
+
+def _apply_block_diagonal(data: GNSData, taus, w) -> np.ndarray:
+    """(⊕_i I_{d_i}⊗taus[i])·w for w of shape (…, H, q), block by block."""
+    out = np.empty_like(w)
+    pos = 0
+    for (d, r), t in zip(data.h_alg.blocks, taus):
+        rows = w[..., pos:pos + d * r, :]
+        out[..., pos:pos + d * r, :] = (
+            t @ rows.reshape(rows.shape[:-2] + (d, r, w.shape[-1]))
+        ).reshape(rows.shape)
+        pos += d * r
+    return out
+
+
 def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     """GNS/Stinespring construction for a CP map.
 
     H = ⊕_i ℂ^{d_i}⊗ℂ^{r_i}, one summand per source block, where r_i is
     the number of Choi eigenvalues of block i kept by the single cut of
     ``stinespring_blocks``.  ρ(E_uv) = E_uv ⊗ I_{r_i}, the row (u, k) of
-    ξ is ops[k, u], and ρ'(c) = I_{d_i} ⊗ Σ_v unit[:, v]·c·unit[:, v]* for
-    the unit eigenvectors unit[k] = ops[k]/√λ_k.
+    ξ is ops[k, u], and ρ'(c) = I_{d_i} ⊗ τ_i(c) with
+    τ_i(c) = Σ_v unit[:, v]·c·unit[:, v]* for the unit eigenvectors
+    unit[k] = ops[k]/√λ_k; only the τ_i are stored.
     Raises NotCP when the map's flag is unset and DimensionCap, before
     anything of size H is allocated, when H exceeds ``h_cap``.
     """
@@ -108,44 +197,41 @@ def gns(s: CPMap, tol: float = DEFAULT_TOL, h_cap: int = H_DIM_CAP) -> GNSData:
     if h_dim > h_cap:
         raise DimensionCap(f"GNS dimension {h_dim} exceeds cap {h_cap}")
 
-    rho_ops = represent(coordinate_basis_stack(h_alg))
     xi = np.concatenate([ops.transpose(1, 0, 2).reshape(-1, target.ambient_dim)
                          for _, ops in blocks])
     target_comm = commutant(target)
-    rho_prime_ops = np.zeros((target_comm.coord_dim, h_dim, h_dim),
-                             dtype=np.complex128)
-    pos = 0
-    for (d, r), (lam, ops) in zip(h_alg.blocks, blocks):
+    tau = []
+    for lam, ops in blocks:
         unit = ops / np.sqrt(lam)[:, None, None]
-        rho_prime_ops[:, pos:pos + d * r, pos:pos + d * r] = np.kron(
-            np.eye(d), alg_mod.basis_sandwich(target_comm, unit,
-                                              unit.conj().transpose(1, 2, 0)))
-        pos += d * r
+        tau.append(alg_mod.basis_sandwich(target_comm, unit,
+                                          unit.conj().transpose(1, 2, 0)))
 
-    module_dim = _intertwiner_dimension(target_comm, rho_prime_ops, tol)
+    module_dim = _intertwiner_dimension(target_comm, h_alg, tau, tol)
     if module_dim == 0:
         raise ArithmeticError("empty module span")
     gram_eigenvalues = np.sort(np.concatenate([
         np.tile(eig.values, d) for (d, _), eig in zip(source.blocks, s.choi_eigs)]))[::-1]
-    return GNSData(cpmap=s, h_dim=h_dim, rho_ops=rho_ops,
-                   rho_prime_ops=rho_prime_ops, xi=xi, module_dim=module_dim,
-                   gram_eigenvalues=gram_eigenvalues)
+    return GNSData(cpmap=s, h_alg=h_alg, tau=tuple(tau), xi=xi,
+                   module_dim=module_dim, gram_eigenvalues=gram_eigenvalues)
 
 
 def _intertwiner_dimension(target_comm: MatrixBlockAlgebra,
-                           rho_prime_ops: np.ndarray, tol: float) -> int:
+                           h_alg: MatrixBlockAlgebra, tau, tol: float) -> int:
     """dim C_{B'}(B(G,H)) = Σ_b d_b·μ_b from the irrep multiplicities of ρ'.
 
     For each block b of B' (irrep dimension m, multiplicity d inside G) the
     isotypic multiplicity in H is μ = tr ρ'(z_b)/m for the central
-    projection z_b = Σ_u E_uu, the sum of the traces of the diagonal
-    ``rho_prime_ops``.  Raises ArithmeticError when μ is not an integer.
+    projection z_b = Σ_u E_uu, and tr ρ'(z_b) = Σ_i d_i·tr τ_i(z_b) over
+    the source blocks (d_i, r_i) of ``h_alg``.  Raises ArithmeticError
+    when μ is not an integer.
     """
     total = 0
     for off, (dim_m, mult_d) in zip(target_comm.coord_offsets(),
                                     target_comm.blocks):
-        diagonal = rho_prime_ops[off + np.arange(dim_m) * (dim_m + 1)]
-        trace = float(np.real(np.trace(diagonal, axis1=1, axis2=2).sum()))
+        diagonal = off + np.arange(dim_m) * (dim_m + 1)
+        trace = float(sum(
+            d * np.real(np.trace(t[diagonal], axis1=1, axis2=2).sum())
+            for (d, _), t in zip(h_alg.blocks, tau)))
         mu = trace / dim_m
         if abs(mu - round(mu)) > floored(tol, IDENTITY_FLOOR, trace):
             raise ArithmeticError(f"non-integer isotypic multiplicity {mu}")
@@ -238,8 +324,10 @@ def _intertwining_residual(data: GNSData, elements) -> float:
         return 0.0
     e = np.stack(elements)
     comm = represent(coordinate_basis_stack(commutant(data.target)))
-    return float(max(np.max(frob_each(op @ e - e @ c))
-                     for op, c in zip(data.rho_prime_ops, comm)))
+    return float(max(
+        np.max(frob_each(_apply_block_diagonal(data, [t[k] for t in data.tau], e)
+                         - e @ c))
+        for k, c in enumerate(comm)))
 
 
 def _isotypic_completion(data: GNSData, elements, projections):
@@ -294,9 +382,10 @@ def _isotypic_frames(data: GNSData) -> list:
     comm = commutant(data.target)
     frames = []
     for off, (m, _) in zip(comm.coord_offsets(), comm.blocks):
-        w0 = _range_basis(data.rho_prime_ops[off])
-        frames.append([w0] + [data.rho_prime_ops[off + s * m] @ w0
-                              for s in range(1, m)])
+        w0 = _range_basis(_block_diagonal(data, [t[off] for t in data.tau]))
+        frames.append([w0] + [
+            _apply_block_diagonal(data, [t[off + s * m] for t in data.tau], w0)
+            for s in range(1, m)])
     return frames
 
 

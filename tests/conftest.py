@@ -57,6 +57,39 @@ def exhaustive_homomorphism_residual(source, j_ops) -> float:
     return worst
 
 
+def dense_rho_ops(data) -> np.ndarray:
+    """ρ over A's coordinate basis as one (n_A, H, H) stack: the standard
+    representation of ``data.h_alg``, E_uv ⊗ I_r on each block."""
+    return represent(coordinate_basis_stack(data.h_alg))
+
+
+def dense_rho_prime_ops(data) -> np.ndarray:
+    """ρ' over the coordinate basis of B' as one zero-filled (n_{B'}, H, H)
+    stack, with the kron I_d ⊗ τ_i on each source block (d, r) of H."""
+    h_dim = data.h_dim
+    out = np.zeros((len(data.tau[0]), h_dim, h_dim), dtype=np.complex128)
+    pos = 0
+    for (d, r), tau in zip(data.h_alg.blocks, data.tau):
+        out[:, pos:pos + d * r, pos:pos + d * r] = np.kron(np.eye(d), tau)
+        pos += d * r
+    return out
+
+
+def canonical_phases_loop(vectors: np.ndarray) -> np.ndarray:
+    """Column-by-column phase normalization: each column is multiplied by
+    conj(p)/|p| for its first coordinate p of largest modulus, and a zero
+    column is left alone.  The oracle of ``numerics._canonical_phases``."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        pivot = col[idx]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, k] = col * (np.conj(pivot) / mag)
+    return out
+
+
 def random_hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate import dilation
-from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
-                              element, identity, make_algebra, represent)
+from cpdilate.algebra import (adjoint_permutation, commutant, coordinate_basis,
+                              coordinates, element, identity, make_algebra,
+                              represent)
 from cpdilate.cpmap import apply, identity_map, make_cpmap
 from cpdilate.dilation import (VERIFY_TOL, WeakTensorDilation,
                                nonunital_recovery, verify_dilation,
                                weak_tensor_dilation)
 from cpdilate.errors import NotUnital
-from cpdilate.numerics import frob
+from cpdilate.numerics import frob, frob_each
 from cpdilate.sampling import random_standard_algebra, random_unital_cp_map
 from cpdilate.vnmodule import gns
 
@@ -268,6 +269,26 @@ class TestHomomorphismCertificate:
         cert = verify_dilation(dataclasses.replace(d, j_ops=j_ops))
         assert cert.star <= VERIFY_TOL
         assert cert.homomorphism > VERIFY_TOL
+
+
+class TestStarCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
+           st.sampled_from([None, -9, -6, -2]))
+    def test_bit_identical_to_the_dense_comparison(self, seed, index,
+                                                   log_size):
+        # the per-row comparison forms the same elementwise differences as
+        # j_ops[perm] − j_ops* over the whole stack
+        rng = np.random.default_rng(seed)
+        source = random_standard_algebra(rng, 5)
+        d = weak_tensor_dilation(
+            random_unital_cp_map(rng, source, random_standard_algebra(rng, 5)))
+        if log_size is not None:
+            d = perturbed(d, index % source.coord_dim, 10.0 ** log_size, rng)
+        j_ops = d.j_ops
+        dense = j_ops[adjoint_permutation(source)] \
+            - np.conj(np.swapaxes(j_ops, -1, -2))
+        assert verify_dilation(d).star == float(np.max(frob_each(dense)))
 
 
 class TestNonunitalRecovery:

@@ -25,7 +25,8 @@ from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
 from cpdilate.sampling import random_covariant_context, random_unit_vector
 from cpdilate.vnmodule import gns
 
-from conftest import random_covariant_channel, span_commutant_lifting
+from conftest import (dense_rho_ops, dense_rho_prime_ops,
+                      random_covariant_channel, span_commutant_lifting)
 
 SEEDS = range(12)
 
@@ -105,8 +106,8 @@ class TestXiPrime:
         xp = xi_prime(worked_ctx, data)
         for a in coordinate_basis(worked_ctx.source):
             for b in coordinate_basis(worked_ctx.target_commutant):
-                rho_prime = np.tensordot(coordinates(b), data.rho_prime_ops,
-                                         axes=1)
+                rho_prime = np.tensordot(coordinates(b),
+                                         dense_rho_prime_ops(data), axes=1)
                 lhs = rho_prime @ xp @ represent(a) @ worked_ctx.f
                 rhs = data.rho(a) @ data.xi @ represent(b) @ worked_ctx.g
                 assert np.linalg.norm(lhs - rhs) <= 1e-11
@@ -284,7 +285,7 @@ class TestClosedFormIsometries:
         data = gns(ctx.cpmap)
         xp = xi_prime(ctx, data)
         oracle = lstsq_isometry(basis_action(ctx.source, ctx.f),
-                                data.rho_ops @ (data.xi @ ctx.g))
+                                dense_rho_ops(data) @ (data.xi @ ctx.g))
         assert frob(xp - oracle) <= 1e-12
         assert isometry_defect(xp) <= 1e-13
 

@@ -5,12 +5,33 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate.errors import NonFinite, NonHermitian, NotPSD
-from cpdilate.numerics import hermitian_eig, matrix_rank, psd_functions
+from cpdilate.numerics import (_canonical_phases, hermitian_eig, matrix_rank,
+                               psd_functions)
 
-from conftest import null_space, random_hermitian, random_psd
+from conftest import (canonical_phases_loop, null_space, random_hermitian,
+                      random_psd)
 
 
 class TestHermitianEig:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_canonical_phases_are_bit_identical_to_the_column_loop(self, seed):
+        # eigenvectors of generic and of degenerate spectra, with zero
+        # columns and ties in modulus mixed in
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        m = random_hermitian(rng, n)
+        if rng.random() < 0.5:
+            q = np.linalg.qr(m)[0]
+            m = (q * rng.integers(0, 3, n)) @ q.conj().T
+        v = np.linalg.eigh(m)[1]
+        if rng.random() < 0.3:
+            v[:, rng.integers(0, n)] = 0.0
+        if rng.random() < 0.3:
+            v[:, 0] = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
+        got = _canonical_phases(v)
+        assert got.tobytes() == canonical_phases_loop(v).tobytes()
+
     def test_diagonal(self):
         eig = hermitian_eig(np.diag([3.0, 1.0]))
         assert_allclose(eig.values, [3.0, 1.0])

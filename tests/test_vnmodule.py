@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from cpdilate.sampling import (random_covariant_context,
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
                                module_element, polar_decompose_module, qons)
 
-from conftest import (gram_schmidt_module_basis, intertwiner_space,
+from conftest import (dense_rho_ops, dense_rho_prime_ops,
+                      gram_schmidt_module_basis, intertwiner_space,
                       structure_constants)
 
 
@@ -68,8 +70,8 @@ class TestGns:
         b_alg = random_standard_algebra(rng, 5)
         s = random_unital_cp_map(rng, a_alg, b_alg)
         data = gns(s)
-        for ra in data.rho_ops:
-            for rc in data.rho_prime_ops:
+        for ra in dense_rho_ops(data):
+            for rc in dense_rho_prime_ops(data):
                 assert np.linalg.norm(ra @ rc - rc @ ra) <= 1e-11
 
     def test_rho_is_homomorphism(self, rng):
@@ -109,6 +111,14 @@ class TestGns:
         for a in coordinate_basis(source):
             assert_allclose(data.xi.conj().T @ data.rho(a) @ data.xi,
                             represent(apply(s, a)), atol=1e-13)
+        # the empty block of H adds nothing to the batched products
+        rho, rho_prime = dense_rho_ops(data), dense_rho_prime_ops(data)
+        assert_allclose(data.rho_basis_action(data.xi), rho @ data.xi,
+                        atol=1e-15)
+        assert_allclose(data.rho_prime_compression(data.xi),
+                        data.xi.conj().T @ rho_prime @ data.xi, atol=1e-15)
+        assert_allclose(data.rho_basis_conjugation(data.xi.T),
+                        data.xi.T @ rho @ data.xi.conj(), atol=1e-15)
         d = weak_tensor_dilation(s)
         assert d.k_dim == 1
         assert d.certificate.max_residual <= 1e-12
@@ -173,7 +183,8 @@ class TestGnsKernels:
         assert data.h_dim == rho.shape[1]
         assert_allclose(data.gram_eigenvalues, values, rtol=0, atol=1e-12)
         assert_allclose(
-            sandwiched_products(data.rho_ops, data.rho_prime_ops, data.xi),
+            sandwiched_products(dense_rho_ops(data), dense_rho_prime_ops(data),
+                                data.xi),
             sandwiched_products(rho, rho_prime, xi), rtol=0, atol=1e-12)
 
     def test_represent_calls_do_not_grow_with_the_source(self, rng, monkeypatch):
@@ -308,7 +319,7 @@ class TestIntertwinerSpace:
     def test_worked_example_dimension(self, worked_gns):
         comm = commutant(worked_gns.target)
         right = np.stack([represent(c) for c in coordinate_basis(comm)])
-        space = intertwiner_space(worked_gns.rho_prime_ops, right)
+        space = intertwiner_space(dense_rho_prime_ops(worked_gns), right)
         assert space.shape[0] == 4
         assert space.shape[0] == worked_gns.module_basis.shape[0]
 
@@ -319,15 +330,16 @@ class TestIntertwinerSpace:
         # intertwiners for rho: rho(a) x' = x' a over a basis of A; the
         # defining relation uses A itself, so feed the A-representation
         a_right = np.stack([represent(a) for a in coordinate_basis(worked_gns.source)])
-        space = intertwiner_space(worked_gns.rho_ops, a_right)
+        space = intertwiner_space(dense_rho_ops(worked_gns), a_right)
         assert space.shape[0] == 4
 
     def test_members_intertwine(self, worked_gns):
         comm = commutant(worked_gns.target)
         right = np.stack([represent(c) for c in coordinate_basis(comm)])
-        space = intertwiner_space(worked_gns.rho_prime_ops, right)
+        rho_prime = dense_rho_prime_ops(worked_gns)
+        space = intertwiner_space(rho_prime, right)
         for x in space:
-            for op, rm in zip(worked_gns.rho_prime_ops, right):
+            for op, rm in zip(rho_prime, right):
                 assert np.linalg.norm(op @ x - x @ rm) <= 1e-10
 
 
@@ -467,9 +479,10 @@ def isotypic_multiplicities(data):
     """(μ_i, d_i) per block of B': μ_i = tr ρ'(1_i)/m_i for the block M_{m_i}
     of multiplicity d_i in G."""
     comm = commutant(data.target)
+    rho_prime = dense_rho_prime_ops(data)
     out = []
     for off, (m, d) in zip(comm.coord_offsets(), comm.blocks):
-        trace = sum(np.trace(data.rho_prime_ops[off + u * m + u]).real
+        trace = sum(np.trace(rho_prime[off + u * m + u]).real
                     for u in range(m))
         out.append((int(round(trace / m)), d))
     return out
@@ -482,7 +495,8 @@ def minimal_k(data):
 def intertwining_residual(data, elements):
     comm = [represent(c) for c in coordinate_basis(commutant(data.target))]
     return max(np.linalg.norm(op @ e - e @ c)
-               for e in elements for op, c in zip(data.rho_prime_ops, comm))
+               for e in elements
+               for op, c in zip(dense_rho_prime_ops(data), comm))
 
 
 class TestIsotypicQons:
@@ -653,20 +667,99 @@ class TestClosedFormModule:
         assert np.max(np.abs(span - oracle_flat.T @ oracle_flat.conj())) <= 1e-9
 
     def test_non_integer_multiplicity_raises(self, rng):
-        # ℂ → M₃: B' = ℂ with μ = 3, so ρ'(1) scaled by 1.5 has trace 4.5
+        # ℂ → M₃: B' = ℂ with μ = 3, so ρ'(1) = τ(1) scaled by 1.5 has
+        # trace 4.5
         s = random_unital_cp_map(rng, make_algebra([(1, 1)]),
                                  make_algebra([(3, 1)]))
         data = gns(s)
         comm = commutant(s.target)
         assert vnmodule._intertwiner_dimension(
-            comm, data.rho_prime_ops, DEFAULT_TOL) == data.module_dim == 9
-        scaled = data.rho_prime_ops.copy()
-        scaled[0] *= 1.5
+            comm, data.h_alg, data.tau, DEFAULT_TOL) == data.module_dim == 9
+        scaled = [t.copy() for t in data.tau]
+        scaled[0][0] *= 1.5
         with pytest.raises(ArithmeticError,
                            match="non-integer isotypic multiplicity 4.5"):
-            vnmodule._intertwiner_dimension(comm, scaled, DEFAULT_TOL)
+            vnmodule._intertwiner_dimension(comm, data.h_alg, scaled,
+                                            DEFAULT_TOL)
 
     def test_zero_map_has_no_module(self):
         alg = make_algebra([(2, 1)])
         with pytest.raises(ArithmeticError, match="empty module span"):
             gns(make_cpmap(alg, alg, np.zeros((4, 4))))
+
+
+def factored_draw(seed, flip_target):
+    """GNS data of a random unital map between random multi-block algebras
+    with multiplicities; ``flip_target`` makes the target a commutant."""
+    rng = np.random.default_rng(seed)
+    source = random_standard_algebra(rng, 6)
+    target = random_standard_algebra(rng, 6)
+    if flip_target:
+        target = commutant(target)
+    return gns(random_unital_cp_map(rng, source, target)), rng
+
+
+class TestFactoredRepresentations:
+    """ρ and ρ' are stored as h_alg and the τ_i; the accessors, the batched
+    products and the frames agree with the dense stacks of the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_rho_and_block_copies_equal_the_dense_stacks(self, seed,
+                                                         flip_target):
+        data, _ = factored_draw(seed, flip_target)
+        for a, op in zip(coordinate_basis(data.source), dense_rho_ops(data)):
+            np.testing.assert_array_equal(data.rho(a), op)
+        for off, op in enumerate(dense_rho_prime_ops(data)):
+            np.testing.assert_array_equal(
+                vnmodule._block_diagonal(data, [t[off] for t in data.tau]), op)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_products_equal_their_dense_forms(self, seed, flip_target):
+        data, rng = factored_draw(seed, flip_target)
+        rho, rho_prime = dense_rho_ops(data), dense_rho_prime_ops(data)
+        h_dim = data.h_dim
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        v, x, u = draw(h_dim), draw(h_dim, 3), draw(5, h_dim)
+        bound = 1e-12 * max(np.linalg.norm(v), np.linalg.norm(x),
+                            np.linalg.norm(u)) ** 2
+        assert np.max(np.abs(data.rho_basis_action(v) - rho @ v)) <= bound
+        assert np.max(np.abs(data.rho_basis_action(x) - rho @ x)) <= bound
+        conj = np.einsum("ih,ahk,jk->aij", u, rho, u.conj())
+        assert np.max(np.abs(data.rho_basis_conjugation(u) - conj)) <= bound
+        comp = x.conj().T @ rho_prime @ x
+        assert np.max(np.abs(data.rho_prime_compression(x) - comp)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_first_frame_is_exactly_the_dense_svd(self, seed, flip_target):
+        # Exact equality of every entry.  The kron's off-diagonal blocks hold
+        # the signed zeros 0·τ where the block copy holds +0.0, and the SVD
+        # passes a zero's sign on, so the bytes may differ in that sign only.
+        data, _ = factored_draw(seed, flip_target)
+        rho_prime = dense_rho_prime_ops(data)
+        comm = commutant(data.target)
+        frames = vnmodule._isotypic_frames(data)
+        for off, w in zip(comm.coord_offsets(), frames):
+            left, sv, _ = np.linalg.svd(rho_prime[off])
+            oracle = left[:, sv > 0.5]
+            np.testing.assert_array_equal(w[0], oracle)
+
+    def test_gns_allocates_no_dense_stack(self):
+        # H = 128 and n_{B'} = 256: one (n_{B'}, H, H) stack of ρ' alone
+        # takes 67 MB, the two τ_i 8.4 MB
+        s = random_unital_cp_map(np.random.default_rng(0),
+                                 make_algebra([(2, 2), (2, 2)]),
+                                 make_algebra([(1, 16)]))
+        tracemalloc.start()
+        try:
+            data = gns(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+        assert (data.h_dim, len(data.tau[0])) == (128, 256)
