@@ -230,11 +230,30 @@ def basis_sandwich(alg: MatrixBlockAlgebra, left, right) -> np.ndarray:
 
 
 def basis_action(alg: MatrixBlockAlgebra, v) -> np.ndarray:
-    """x_c·v for every coordinate basis element x_c, stacked as rows (n, N),
-    without building the ambient matrices of the basis."""
-    v = as_complex(v).reshape(-1)
-    eye = np.eye(alg.ambient_dim)
-    return basis_sandwich(alg, eye[:, None, :], v[None, :, None])[:, :, 0]
+    """x_c·v for every coordinate basis element x_c: rows (n, N) for a
+    vector v, (n, N, q) for an operator v of shape (N, q).
+
+    E_st of a block moves the rows (t, e) of v to the rows (s, e), e on the
+    block's other leg, so the result is a copy of rows and no ambient
+    matrix of the basis is built.
+    """
+    v = as_complex(v)
+    rows = v.reshape(alg.ambient_dim, -1)
+    out = np.zeros((alg.coord_dim,) + rows.shape, dtype=np.complex128)
+    pos = 0
+    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
+        legs = (m, d) if alg.flipped else (d, m)
+        block = rows[pos:pos + d * m].reshape(legs + rows.shape[1:])
+        target = out[off:off + d * d, pos:pos + d * m].reshape(
+            (d, d) + legs + rows.shape[1:])
+        # out[(s, t), rows (s, e)] = v[rows (t, e)] for every s
+        s = np.arange(d)
+        if alg.flipped:
+            target[s, :, :, s] = block.swapaxes(0, 1)
+        else:
+            target[s, :, s] = block
+        pos += d * m
+    return out.reshape((-1,) + v.shape)
 
 
 def adjoint_permutation(alg: MatrixBlockAlgebra) -> np.ndarray:
@@ -306,14 +325,3 @@ def check_unit_vector(v, tol: float = IDENTITY_FLOOR) -> np.ndarray:
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"expected a unit vector, got norm {nrm}")
     return v
-
-
-def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
-    """(id⊗ψ) of an ambient matrix on G⊗K with the K leg slowest: both K
-    legs are contracted against the state vector ψ.  A stack (…, KG, KG)
-    gives the stack (…, G, G)."""
-    k = psi_vector.size
-    m = as_complex(m)
-    t = m.reshape(m.shape[:-2] + (k, g_dim, k, g_dim))
-    return np.einsum("k,...kglh,l->...gh", np.conj(psi_vector), t, psi_vector)
-

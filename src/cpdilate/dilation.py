@@ -1,26 +1,31 @@
-"""Weak tensor dilations of unital CP maps.
+"""Weak tensor dilations of unital CP maps, stored and certified factored.
 
 Given a unital CP map S: A → B, a complete quasi-orthonormal system of the
-GNS module gives a unitary U from the Stinespring space H onto the range of
-p_I inside G⊗K, and j(a) = U ρ(a) U* is a homomorphism A → B⊗B(K) with
+GNS module gives an isometry U from the Stinespring space H onto the range
+of p_I inside G⊗K, and j(a) = U ρ(a) U* is a homomorphism A → B⊗B(K) with
 (id⊗⟨k₀,·k₀⟩)∘j = S.  Ambient matrices on the product space carry the K
 leg slowest, so j(a) is literally the K×K block matrix of the coefficients
 ⟨e_j, a e_i⟩ ∈ B.
+
+A dilation is kept as that pair: the isometry V (here U) and the
+representation π (here ρ) that it conjugates, j(x) = V·π(x)·V*.  A
+dilation recovered from an extension has the same form with π = ρ′ (see
+``duality.dilation_from_extension``).  The certificate is computed from
+V and π, and the dense matrices of j are only built when they are read.
 
 For non-unital S the cyclic vector is polar-decomposed first and the
 identity S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ| is verified instead.
 """
 
 from dataclasses import asdict, dataclass, field, replace
-from itertools import permutations
 
 import numpy as np
 
-from .algebra import (AlgebraElement, MatrixBlockAlgebra, coordinates,
-                      identity, project_to_algebra, represent, slice_map)
+from .algebra import (AlgebraElement, adjoint_permutation, basis_action,
+                      commutant, coordinates, represent)
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
-from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob, frob_each
+from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob_each
 from .vnmodule import (GNSData, QONS, embed_qons, gns, polar_decompose_module,
                        qons)
 
@@ -29,14 +34,36 @@ VERIFY_TOL = RESIDUAL_FLOOR
 
 @dataclass(frozen=True)
 class DilationCertificate:
-    """Residual norms of all verified dilation identities.
+    """Residuals of a dilation j(x) = V·π(x)·V*, computed from V and π.
 
-    ``homomorphism`` is the largest Frobenius residual ε of the relations,
-    per block i of A with P = j(E_00), R1 j(E_u0)·j(E_0v) = j(E_uv),
-    R2 j(E_0u)·j(E_v0) = δ_uv·P and R3 j(1_i)·j(1_k) = 0 (i ≠ k).  With
-    M ≥ 1 bounding ‖j(x)‖_op over matrix units x and the j(1_i), every pair
-    of matrix units has ‖j(x)·j(y) − j(xy)‖ ≤ 5·M²·ε in one block and
-    ≤ (1 + 5·(d_i + d_k))·M⁴·ε for x in block i and y in block k ≠ i.
+    With D = V*V − I_H, ε_D is the largest Frobenius norm of a block of D
+    between two row blocks of H, the ranges of the matrix units of
+    ``h_alg`` (r_i×r_k blocks; there are N = Σ_i d_i row blocks).  M ≥ 1
+    bounds ‖V‖_op and T ≥ 1 bounds ‖π(x)‖_op over the matrix units x of
+    the source and its block units; T = 1 when π = ρ.  Each key bounds the
+    residual that the dense check of the matrices j(x) would report:
+
+    - ``homomorphism`` = max(ε_D, π's own R1–R3).  Since
+      j(x)·j(y) − j(z) = V·(π(x)·D·π(y) + π(x)·π(y) − π(z))·V*, every
+      relation R1 j(E_u0)·j(E_0v) = j(E_uv), R2 j(E_0u)·j(E_v0) = δ_uv·j(E_00)
+      and R3 j(1_i)·j(1_k) = 0 of j is at most M²·(T²·N + 1)·homomorphism.
+      π's relations are 0 for ρ and those of the τ_i for ρ′.
+    - ``star``: π's star residual, 0 for ρ; ‖j(x*) − j(x)*‖ ≤ M²·star.
+    - ``membership``: the largest ‖c·V_k − V_k·σ(c)‖ over the coordinate
+      basis c of the target's commutant and the K row blocks V_k (G×H) of
+      V, the K-blocks of (c⊗I_K)·V − V·σ(c), with V·σ(c) formed as
+      (σ(c*)·V*)*, maxed with σ's star residual.  σ is the representation
+      of that commutant on H that commutes with π exactly: ρ′ when π = ρ,
+      ρ when π = ρ′.  Every K-block of every j(x) is then within
+      (Σ_b m_b)·M·T·(M + 2)·membership of B, m_b the block dims of the
+      commutant.  For a full target the commutant is ℂ·1, membership is
+      vacuous and reads 0.
+    - ``expectation``: the largest ‖W·π(x)·W* − S(x)‖ with
+      W = (ψ*⊗I_G)·V, sandwiched by |ξ| in the non-unital case; it equals
+      (id⊗ψ)(j(x)) − S(x).
+    - ``unit_projection`` = max(ε_D, ‖π(1) − I_H‖).  With p_I = V·V*,
+      p_I² − p_I = V·D·V* and j(1) − p_I = V·(π(1) − I)·V*, so both are at
+      most M²·N·unit_projection, and p_I is Hermitian by construction.
     """
 
     homomorphism: float
@@ -56,114 +83,151 @@ class DilationCertificate:
 
 @dataclass(frozen=True)
 class WeakTensorDilation:
-    """A homomorphism j: A → B⊗B(K) with a distinguished vector state on K.
+    """A homomorphism j: A → B⊗B(K), j(x) = V·π(x)·V*, with a
+    distinguished vector state on K.
 
-    ``j_ops`` stacks the ambient matrices j(x) over the source coordinate
-    basis (K leg slowest).  ``psi_vector`` is the state vector in K; the
-    constructive path places it at the first basis slot (the ξ slot of the
-    QONS), recovery from an extension may place it anywhere.  For non-unital
-    maps ``absxi`` holds |ξ| and the expectation identity is the sandwiched
-    one.
+    ``isometry`` is V: H → G⊗K (K leg slowest), and π is the
+    representation ρ of ``gns_data``, or its commutant lifting ρ′ when
+    ``lifted`` (then A is the commutant of the GNS map's target and
+    ``gns_data`` is the GNS data of that map, not of ``cpmap``).
+    ``psi_vector`` is the state vector in K; the constructive path places
+    it at the first basis slot (the ξ slot of the QONS), recovery from an
+    extension may place it anywhere.  For non-unital maps ``absxi`` holds
+    |ξ| and the expectation identity is the sandwiched one.
     """
 
     cpmap: CPMap
     k_dim: int
     psi_vector: np.ndarray
-    j_ops: np.ndarray
-    p_i_matrix: np.ndarray
+    isometry: np.ndarray = field(repr=False)
+    gns_data: GNSData = field(repr=False)
+    lifted: bool = False
     certificate: DilationCertificate = None
     absxi: AlgebraElement = None
-    gns_data: GNSData = field(default=None, repr=False)
     system: QONS = field(default=None, repr=False)
+
+    @property
+    def j_ops(self) -> np.ndarray:
+        """The ambient matrices j(x) over the source coordinate basis,
+        (n_A, K·G, K·G), built on every read."""
+        return _pi_conjugation(self, self.isometry)
+
+    @property
+    def p_i_matrix(self) -> np.ndarray:
+        """p_I = V·V* = j(1), built on every read."""
+        return self.isometry @ self.isometry.conj().T
 
     def j(self, a: AlgebraElement) -> np.ndarray:
         """Ambient matrix of j(a) on G⊗K."""
         return np.tensordot(coordinates(a), self.j_ops, axes=1)
 
-    def expectation_ambient(self, m) -> np.ndarray:
-        """(id⊗ψ) applied to an ambient matrix on G⊗K."""
-        return slice_map(m, self.psi_vector, self.cpmap.target.ambient_dim)
+    def j_basis_action(self, w) -> np.ndarray:
+        """j(x_a)·w = V·π(x_a)·(V*·w) for every source coordinate basis
+        element x_a: (n_A, K·G) for a vector w, (n_A, K·G, q) for an
+        operator w of shape (K·G, q)."""
+        v = self.isometry
+        moved = _basis_action(self, v.conj().T @ w)
+        return moved @ v.T if moved.ndim == 2 else v @ moved
 
 
-def _homomorphism_residual(source: MatrixBlockAlgebra, j_ops) -> float:
-    """R1–R3 of ``DilationCertificate``: 2·d_i² products per block of A."""
-    worst, units = 0.0, []
-    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
-        e = j_ops[off:off + d * d].reshape((d, d) + j_ops.shape[1:])
-        for u in range(d):
-            r1 = np.einsum("ij,bjk->bik", e[u, 0], e[0], optimize=True)
-            r1 -= e[u]
-            r2 = np.einsum("ij,bjk->bik", e[0, u], e[:, 0], optimize=True)
-            r2[u] -= e[0, 0]
-            worst = max(worst, *frob_each(r1), *frob_each(r2))
-        units.append(np.trace(e))
-    cross = [frob(x @ y) for x, y in permutations(units, 2)]
-    return float(max([worst, *cross]))
+def _pi_conjugation(d: WeakTensorDilation, u) -> np.ndarray:
+    """u·π(x_a)·u* for every source coordinate basis element x_a."""
+    if d.lifted:
+        return d.gns_data.rho_prime_compression(u.conj().T)
+    return d.gns_data.rho_basis_conjugation(u)
 
 
-def _star_residual(source: MatrixBlockAlgebra, j_ops) -> float:
-    """max ‖j(E_vu) − j(E_uv)*‖ over the matrix units of A, compared one
-    row u of one block at a time, so no copy of the whole ``j_ops`` is
-    made."""
-    worst = 0.0
-    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
-        e = j_ops[off:off + d * d].reshape((d, d) + j_ops.shape[1:])
-        for u in range(d):
-            diff = e[:, u].copy()
-            diff -= np.conj(np.swapaxes(e[u], -1, -2))
-            worst = max(worst, float(np.max(frob_each(diff))))
-    return worst
+def _basis_action(d: WeakTensorDilation, w, sigma=False) -> np.ndarray:
+    """π(x_a)·w over the source coordinate basis, or σ(c)·w over the
+    coordinate basis of the target's commutant with ``sigma``: ρ′ of the
+    GNS data for one of them, ρ for the other."""
+    if d.lifted != sigma:
+        return d.gns_data.rho_prime_basis_action(w)
+    return d.gns_data.rho_basis_action(w)
+
+
+def _gram_block_maximum(d: WeakTensorDilation) -> float:
+    """ε_D: the largest Frobenius norm of a block of V*V − I_H between two
+    row blocks (r_i rows each) of H."""
+    v = d.isometry
+    defect = v.conj().T @ v
+    defect[np.diag_indices_from(defect)] -= 1.0
+    starts, pos = [], 0
+    for dim, r in d.gns_data.h_alg.blocks:
+        if r:
+            starts += range(pos, pos + dim * r, r)
+        pos += dim * r
+    squares = defect.real ** 2 + defect.imag ** 2
+    sums = np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts,
+                           axis=1)
+    return float(np.sqrt(np.max(sums)))
+
+
+def _membership_residual(d: WeakTensorDilation, sigma_star: float) -> float:
+    """``DilationCertificate.membership``, for σ with star residual
+    ``sigma_star``."""
+    target = d.cpmap.target
+    if target.is_full():
+        return 0.0
+    comm = commutant(target)
+    v = d.isometry
+    n, g, h = comm.coord_dim, target.ambient_dim, v.shape[1]
+    # (c⊗I_K)·V moves the rows (k, g) of V on the g leg: (n, G, K, H)
+    moved = basis_action(comm, v.reshape(d.k_dim, g, h).transpose(1, 0, 2)
+                         .reshape(g, -1)).reshape(n, g, d.k_dim, h)
+    # V·σ(c) = (σ(c*)·V*)*, laid out like ``moved``
+    sigma = _basis_action(d, v.conj().T, sigma=True)
+    moved -= sigma[adjoint_permutation(comm)].conj().reshape(
+        n, h, d.k_dim, g).transpose(0, 3, 2, 1)
+    worst = np.sqrt(np.max(np.sum(moved.real ** 2 + moved.imag ** 2,
+                                  axis=(1, 3))))
+    return max(float(worst), sigma_star)
 
 
 def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
-    """Recompute every dilation identity directly from the stored matrices.
+    """Recompute every dilation identity from the factors V and π.
 
-    Checks the matrix-unit relations R1–R3 of j (``DilationCertificate``
-    states them and their bound on ‖j(x)·j(y) − j(xy)‖: 5·M²·ε within a
-    block, (1 + 5·(d_i + d_k))·M⁴·ε across blocks), *-preservation of j
-    over the coordinate basis, membership of every K-block of every j(x)
-    in B, the expectation identity ((id⊗ψ)∘j = S, sandwiched by |ξ| in the
-    non-unital case), and that j(1) = p_I is an orthogonal projection.
+    ``DilationCertificate`` states each residual and the bound it gives on
+    the dense check of the matrices j(x): the homomorphism relations, the
+    star identity, membership of every K-block of every j(x) in B, the
+    expectation identity ((id⊗ψ)∘j = S, sandwiched by |ξ| in the non-unital
+    case) and that j(1) = p_I is an orthogonal projection.  The largest
+    array it forms is the commutant's basis applied to V, n_{B'}·K·G·H
+    entries, and the expectation costs n_A·G·H².
     """
-    source = d.cpmap.source
     target = d.cpmap.target
-    j_ops = d.j_ops
-    hom = _homomorphism_residual(source, j_ops)
+    # ρ is exact; ρ′ is π when lifted, and σ otherwise
+    pi_rel = pi_star = pi_unit = sigma_star = 0.0
+    if d.lifted:
+        pi_rel, pi_star, pi_unit = d.gns_data.rho_prime_residuals()
+    elif not target.is_full():
+        sigma_star = d.gns_data.rho_prime_residuals()[1]
+    gram = _gram_block_maximum(d)
 
-    star = _star_residual(source, j_ops)
-
-    # Every K×K block of every j(x) at once: (n_A, K, K, G, G).
-    g_dim = target.ambient_dim
-    blocks = j_ops.reshape(-1, d.k_dim, g_dim, d.k_dim, g_dim)
-    _, residuals = project_to_algebra(target, blocks.transpose(0, 1, 3, 2, 4))
-    membership = float(np.max(residuals))
-
-    got = d.expectation_ambient(j_ops)
+    w = np.tensordot(np.conj(d.psi_vector),
+                     d.isometry.reshape(d.k_dim, target.ambient_dim, -1),
+                     axes=1)
+    got = _pi_conjugation(d, w)
     if d.absxi is not None:
         sandwich = represent(d.absxi)
         got = sandwich @ got @ sandwich
     images = represent(basis_images(target, d.cpmap.action))
     expectation = float(np.max(frob_each(got - images)))
 
-    j_unit = d.j(identity(source))
-    unit_res = max(frob(j_unit - d.p_i_matrix),
-                   frob(d.p_i_matrix @ d.p_i_matrix - d.p_i_matrix),
-                   frob(d.p_i_matrix - d.p_i_matrix.conj().T))
-
-    return DilationCertificate(homomorphism=hom, star=star,
-                               membership=membership, expectation=expectation,
-                               unit_projection=unit_res)
+    return DilationCertificate(
+        homomorphism=max(gram, pi_rel), star=pi_star,
+        membership=_membership_residual(d, sigma_star),
+        expectation=expectation, unit_projection=max(gram, pi_unit))
 
 
 def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
               absxi: AlgebraElement = None) -> WeakTensorDilation:
     emb = embed_qons(data, system, tol)
-    j_ops = data.rho_basis_conjugation(emb.u)
     psi = np.zeros(emb.k_dim, dtype=np.complex128)
     psi[0] = 1.0
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
-                           j_ops=j_ops, p_i_matrix=emb.p_i_matrix,
-                           absxi=absxi, gns_data=data, system=system)
+                           isometry=emb.u, gns_data=data, absxi=absxi,
+                           system=system)
     return replace(d, certificate=verify_dilation(d))
 
 

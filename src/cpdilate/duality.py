@@ -19,8 +19,7 @@ import numpy as np
 
 from .algebra import (MatrixBlockAlgebra, basis_action, check_unit_vector,
                       commutant, coordinate_basis_stack, coordinates, decompose,
-                      identity, is_cyclic, make_algebra, represent,
-                      state_value)
+                      is_cyclic, make_algebra, represent, state_value)
 from .cpmap import (CPMap, KrausForm, basis_images, covariance_residual,
                     kraus_decomposition, make_cpmap)
 from .dilation import (WeakTensorDilation, verify_dilation,
@@ -247,13 +246,14 @@ def extension_from_dilation(ctx: DualityContext, d_prime: WeakTensorDilation,
 
     The associated isometry is the closed-form Stinespring isometry with
     ξ(b'g) = j(b')(f⊗ℓ) over the commutant coordinate basis (g cyclic for
-    B'), and Z(x) = ξ*(x⊗I_L)ξ.  Verifies restriction to S and state
+    B'), each j(b')(f⊗ℓ) formed from the factors as V·π(b')·(V*(f⊗ℓ)),
+    and Z(x) = ξ*(x⊗I_L)ξ.  Verifies restriction to S and state
     transport.
     """
     ctx.require("g_cyclic_for_target_commutant")
     anchor = np.kron(d_prime.psi_vector, ctx.f)
     xi = _stinespring_isometry(basis_action(ctx.target_commutant, ctx.g),
-                               d_prime.j_ops @ anchor, tol,
+                               d_prime.j_basis_action(anchor), tol,
                                "associated isometry")
     z = map_from_isometry(xi, ctx.dim_f, tol)
 
@@ -266,10 +266,9 @@ def extension_from_dilation(ctx: DualityContext, d_prime: WeakTensorDilation,
 
 
 def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
-                       tol: float):
-    """j(b') = V·ρ'(b')·V* for every b' of the commutant coordinate basis,
-    and p_H = V·V*, from the GNS data of S and the Stinespring isometry
-    ξ: G → F⊗L of an extension Z.
+                       tol: float) -> np.ndarray:
+    """The isometry V of the lifting j(b') = V·ρ'(b')·V*, from the GNS data
+    of S and the Stinespring isometry ξ: G → F⊗L of an extension Z.
 
     V: H → F⊗L is the closed-form Stinespring isometry with
     V·ρ(a)·ξ_S = (a⊗I_L)·ξ over A's coordinate basis.  Its normal matrix
@@ -283,9 +282,8 @@ def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
     reps_a = represent(coordinate_basis_stack(ctx.source))
     y = np.einsum("aij,ljg->alig", reps_a, xi.reshape(l_dim, dim_f, -1),
                   optimize=True).reshape(len(reps_a), l_dim * dim_f, -1)
-    v = _stinespring_isometry(data.rho_basis_action(data.xi), y, tol,
-                              "commutant lifting")
-    return data.rho_prime_compression(v.conj().T), v @ v.conj().T
+    return _stinespring_isometry(data.rho_basis_action(data.xi), y, tol,
+                                 "commutant lifting")
 
 
 def dilation_from_extension(ctx: DualityContext, z: CPMap,
@@ -296,7 +294,8 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
 
     ξ comes from the deterministic Kraus form of Z.  The GNS space H of S
     is carried into F⊗L by the isometry V with V·ρ(a)·ξ_S = (a⊗I_L)·ξ,
-    j(b') = V·ρ'(b')·V* and p_H = V·V*.  The state vector is
+    and the dilation keeps V with π = ρ', j(b') = V·ρ'(b')·V* and
+    p_H = V·V*.  The state vector is
     ℓ = (⟨f|⊗I_L)ξg, which requires φ_f = φ_g∘Z.  S' is the dual map of
     the context unless given, computed from the same GNS data, which is
     ``gns(ctx.cpmap, tol)`` unless given.
@@ -328,12 +327,12 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
 
     if data is None:
         data = gns(ctx.cpmap, tol)
-    j_ops, p_h = _commutant_lifting(ctx, data, xi, tol)
+    v = _commutant_lifting(ctx, data, xi, tol)
     if s_prime is None:
         s_prime = dual_map(ctx, tol, data)
 
     d = WeakTensorDilation(cpmap=s_prime, k_dim=l_dim, psi_vector=ell,
-                           j_ops=j_ops, p_i_matrix=p_h)
+                           isometry=v, gns_data=data, lifted=True)
     return replace(d, certificate=verify_dilation(d))
 
 
@@ -342,7 +341,8 @@ def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,
     """True iff the dilation's module is the GNS module of S'.
 
     Compares the rank of the B'-A' span of ξ'' = (id⊗ℓ) inside
-    E' = j(1)(A'⊗L) with the rank of E' itself.
+    E' = j(1)(A'⊗L) with the rank of E' itself.  j(b')·ξ'' is formed from
+    the factors, V·π(b')·(V*·ξ''), and j(1) as p_I = V·V*.
     """
     a_comm = s_prime.target           # A' ⊂ B(F)
     dim_f = a_comm.ambient_dim
@@ -351,10 +351,11 @@ def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,
     xi2 = np.kron(ell.reshape(-1, 1), np.eye(dim_f, dtype=np.complex128))
 
     reps = represent(coordinate_basis_stack(a_comm))
-    gns_vecs = np.einsum("cxf,pfh->cpxh", d.j_ops @ xi2, reps, optimize=True)
+    gns_vecs = np.einsum("cxf,pfh->cpxh", d.j_basis_action(xi2), reps,
+                         optimize=True)
     rank_gns = matrix_rank(gns_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
 
-    j_unit = d.j(identity(s_prime.source))
+    j_unit = d.p_i_matrix
     full_vecs = np.einsum("xlf,pfh->lpxh",
                           j_unit.reshape(l_dim * dim_f, l_dim, dim_f), reps,
                           optimize=True)

@@ -46,9 +46,10 @@ class GNSData:
     per source block i, the (n_{B'}, r_i, r_i) stack τ_i of the
     target-commutant coordinate basis, and ρ'(c) = I_{d_i}⊗τ_i(c) on
     block i of H.  No (n, H, H) stack of either representation is stored:
-    ``rho_basis_action``, ``rho_basis_conjugation`` and
-    ``rho_prime_compression`` apply them over a whole coordinate basis,
-    and ``rho`` materializes a single element.  ``xi`` is the
+    ``rho_basis_action``, ``rho_prime_basis_action``,
+    ``rho_basis_conjugation`` and ``rho_prime_compression`` apply them
+    over a whole coordinate basis, ``rho_prime_residuals`` certifies ρ'
+    from the τ_i, and ``rho`` materializes a single element.  ``xi`` is the
     cyclic vector as an operator G → H, and ``module_dim`` = Σ_b d_b·μ_b
     is the dimension of the module E = span{ρ(a)·ξ·b} = C_{B'}(B(G, H)).
     ``module_basis``, an HS-orthonormal basis of E, is built only when
@@ -109,6 +110,59 @@ class GNSData:
                       out=out[off:off + d * d].reshape(d, d, p, p))
             pos += d * r
         return out
+
+    def rho_prime_basis_action(self, v) -> np.ndarray:
+        """ρ'(x_c)·v for every coordinate basis element x_c of B': (n_{B'}, H)
+        for a vector v, (n_{B'}, H, q) for an operator v of shape (H, q).
+        On block i of H, τ_i(x_c) acts on the rows (u, ·) of v for each u."""
+        v = as_complex(v)
+        rows = v.reshape(self.h_dim, -1)
+        out = np.empty((len(self.tau[0]),) + rows.shape, dtype=np.complex128)
+        pos = 0
+        for (d, r), t in zip(self.h_alg.blocks, self.tau):
+            block = rows[pos:pos + d * r].reshape(d, r, -1)
+            out[:, pos:pos + d * r] = np.matmul(t[:, None], block).reshape(
+                len(t), d * r, -1)
+            pos += d * r
+        return out.reshape((-1,) + v.shape)
+
+    def rho_prime_residuals(self):
+        """How far ρ' is from a unital *-representation of B', as
+        (relations, star, unit).  ``relations`` is the largest residual of
+        the matrix-unit relations R1 ρ'(E_u0)·ρ'(E_0v) = ρ'(E_uv),
+        R2 ρ'(E_0u)·ρ'(E_v0) = δ_uv·ρ'(E_00) per block of B' and
+        R3 ρ'(1_b)·ρ'(1_c) = 0 for blocks b ≠ c; ``star`` is the largest
+        ‖ρ'(x_c*) − ρ'(x_c)*‖ over the coordinate basis and ``unit`` is
+        ‖ρ'(1) − I_H‖.  Each is the Frobenius norm on H of one relation,
+        √(Σ_i d_i·‖…‖²) from the τ_i."""
+        comm = commutant(self.target)
+        # R1 and R2 as (left, right, minus) index triples over the basis;
+        # minus −1 marks an R2 with u ≠ v, whose product should vanish
+        left, right, minus, diagonal, starts = [], [], [], [], []
+        for off, (m, _) in zip(comm.coord_offsets(), comm.blocks):
+            u, v = np.divmod(np.arange(m * m), m)
+            left += [off + u * m, off + u]
+            right += [off + v, off + v * m]
+            minus += [off + u * m + v, np.where(u == v, off, -1)]
+            starts.append(sum(map(len, diagonal)))
+            diagonal.append(off + np.arange(m) * (m + 1))
+        left, right, minus = map(np.concatenate, (left, right, minus))
+        perm = alg_mod.adjoint_permutation(comm)
+        n_blk = comm.block_count
+        rel_sq = np.zeros(len(left) + n_blk * n_blk)
+        star_sq = np.zeros(comm.coord_dim)
+        unit_sq = 0.0
+        for (d, r), t in zip(self.h_alg.blocks, self.tau):
+            rel = t[left] @ t[right]
+            rel[minus >= 0] -= t[minus[minus >= 0]]
+            units = np.add.reduceat(t[np.concatenate(diagonal)], starts, axis=0)
+            cross = frob_each(units[:, None] @ units[None])
+            cross[np.diag_indices(n_blk)] = 0.0
+            rel_sq += d * np.concatenate([frob_each(rel), cross.ravel()]) ** 2
+            star_sq += d * frob_each(t[perm] - t.conj().transpose(0, 2, 1)) ** 2
+            unit_sq += d * frob(units.sum(axis=0) - np.eye(r)) ** 2
+        return (float(np.sqrt(rel_sq.max())), float(np.sqrt(star_sq.max())),
+                float(np.sqrt(unit_sq)))
 
     def rho_prime_compression(self, x) -> np.ndarray:
         """x*·ρ'(x_c)·x for every coordinate basis element x_c of B', stacked
@@ -468,13 +522,12 @@ class ModuleEmbedding:
     """Identification of the module with p_I(B⊗K) via a complete QONS.
 
     ``u`` is the unitary H → range(p_I) ⊂ G⊗K (K leg slowest) sending
-    e_i·b·g to (p_i b g)⊗k_i; ``p_i_matrix`` is the diagonal projection
+    e_i·b·g to (p_i b g)⊗k_i, so p_I = u·u* is the diagonal projection
     Σ_i p_i ⊗ |k_i⟩⟨k_i| on the product space.
     """
 
     k_dim: int
     u: np.ndarray
-    p_i_matrix: np.ndarray
     system: QONS
 
 
@@ -483,5 +536,4 @@ def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleE
     if system.completeness_residual > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS("embedding requires a complete system")
     u = np.vstack([e.conj().T for e in system.elements])
-    return ModuleEmbedding(k_dim=len(system), u=u,
-                           p_i_matrix=u @ u.conj().T, system=system)
+    return ModuleEmbedding(k_dim=len(system), u=u, system=system)

@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from cpdilate import make_algebra, make_cpmap
-from cpdilate.algebra import coordinate_basis_stack, represent
-from cpdilate.cpmap import stinespring_blocks
+from cpdilate import algebra, make_algebra, make_cpmap
+from cpdilate.algebra import (coordinate_basis_stack, coordinates, identity,
+                              represent)
+from cpdilate.cpmap import basis_images, stinespring_blocks
 from cpdilate.duality import map_from_isometry
 from cpdilate.errors import InconsistentSystem
 from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex, frob,
@@ -55,6 +58,85 @@ def exhaustive_homomorphism_residual(source, j_ops) -> float:
         actual -= np.tensordot(prods[a], j_ops, axes=([1], [0]))
         worst = max(worst, float(np.max(frob_each(actual))))
     return worst
+
+
+def slice_map(m, psi_vector, g_dim: int) -> np.ndarray:
+    """(id⊗ψ) of an ambient matrix on G⊗K with the K leg slowest: both K
+    legs are contracted against the state vector ψ.  A stack (…, KG, KG)
+    gives the stack (…, G, G)."""
+    k = psi_vector.size
+    m = as_complex(m)
+    t = m.reshape(m.shape[:-2] + (k, g_dim, k, g_dim))
+    return np.einsum("k,...kglh,l->...gh", np.conj(psi_vector), t, psi_vector)
+
+
+def expectation_ambient(d, m) -> np.ndarray:
+    """(id⊗ψ) of the dilation ``d`` applied to an ambient matrix on G⊗K."""
+    return slice_map(m, d.psi_vector, d.cpmap.target.ambient_dim)
+
+
+def _homomorphism_residual(source, j_ops) -> float:
+    """R1–R3 on the dense matrices: per block i of A with P = j(E_00),
+    R1 j(E_u0)·j(E_0v) = j(E_uv), R2 j(E_0u)·j(E_v0) = δ_uv·P and
+    R3 j(1_i)·j(1_k) = 0 (i ≠ k), 2·d_i² products per block.  With M ≥ 1
+    bounding ‖j(x)‖_op over matrix units x and the j(1_i), every pair of
+    matrix units has ‖j(x)·j(y) − j(xy)‖ ≤ 5·M²·ε in one block and
+    ≤ (1 + 5·(d_i + d_k))·M⁴·ε for x in block i and y in block k ≠ i."""
+    worst, units = 0.0, []
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        e = j_ops[off:off + d * d].reshape((d, d) + j_ops.shape[1:])
+        for u in range(d):
+            r1 = np.einsum("ij,bjk->bik", e[u, 0], e[0], optimize=True)
+            r1 -= e[u]
+            r2 = np.einsum("ij,bjk->bik", e[0, u], e[:, 0], optimize=True)
+            r2[u] -= e[0, 0]
+            worst = max(worst, *frob_each(r1), *frob_each(r2))
+        units.append(np.trace(e))
+    cross = [frob(x @ y) for x, y in permutations(units, 2)]
+    return float(max([worst, *cross]))
+
+
+def _star_residual(source, j_ops) -> float:
+    """max ‖j(E_vu) − j(E_uv)*‖ over the matrix units of A, compared one
+    row u of one block at a time, so no copy of the whole stack is made."""
+    worst = 0.0
+    for off, (d, _) in zip(source.coord_offsets(), source.blocks):
+        e = j_ops[off:off + d * d].reshape((d, d) + j_ops.shape[1:])
+        for u in range(d):
+            diff = e[:, u].copy()
+            diff -= np.conj(np.swapaxes(e[u], -1, -2))
+            worst = max(worst, float(np.max(frob_each(diff))))
+    return worst
+
+
+def dense_certificate(d, j_ops=None) -> dict:
+    """The dense oracle of ``verify_dilation``: every identity checked on
+    the matrices j(x) of ``j_ops`` (by default the dilation's own), with
+    the same keys as ``DilationCertificate``.  R1–R3, the star identity
+    one row of a block at a time, membership of every K-block of every
+    j(x) in B by one batched ``project_to_algebra`` call, the expectation
+    identity through the slice map, and j(1) = p_I an orthogonal
+    projection.  Its arrays hold n_A·(K·G)² entries.
+    """
+    source, target = d.cpmap.source, d.cpmap.target
+    j_ops = d.j_ops if j_ops is None else j_ops
+    g_dim = target.ambient_dim
+    blocks = j_ops.reshape(-1, d.k_dim, g_dim, d.k_dim, g_dim)
+    _, residuals = algebra.project_to_algebra(
+        target, blocks.transpose(0, 1, 3, 2, 4))
+    got = expectation_ambient(d, j_ops)
+    if d.absxi is not None:
+        sandwich = represent(d.absxi)
+        got = sandwich @ got @ sandwich
+    images = represent(basis_images(target, d.cpmap.action))
+    p_i = d.p_i_matrix
+    j_unit = np.tensordot(coordinates(identity(source)), j_ops, axes=1)
+    return {"homomorphism": _homomorphism_residual(source, j_ops),
+            "star": _star_residual(source, j_ops),
+            "membership": float(np.max(residuals)),
+            "expectation": float(np.max(frob_each(got - images))),
+            "unit_projection": max(frob(j_unit - p_i), frob(p_i @ p_i - p_i),
+                                   frob(p_i - p_i.conj().T))}
 
 
 def dense_rho_ops(data) -> np.ndarray:

@@ -9,10 +9,11 @@ from cpdilate.algebra import (adjoint_permutation, basis_action,
                               coordinate_basis_stack, coordinates, decompose,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
-                              represent, slice_map, state_value, zero)
+                              represent, state_value, zero)
 from cpdilate.errors import DimensionCap, NotInAlgebra
 
-from conftest import null_space, structure_constants, tensor_with_factor
+from conftest import (null_space, slice_map, structure_constants,
+                      tensor_with_factor)
 
 
 class TestMakeAlgebra:
@@ -354,6 +355,20 @@ class TestBatchedKernels:
         for c, coords in enumerate(np.eye(alg.coord_dim)):
             assert_allclose(rows[c], loop_represent(alg, coords) @ v,
                             rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BLOCKS, st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_basis_action_is_the_dense_basis_product(self, blocks, flipped,
+                                                     q, seed):
+        # a copy of rows equals the product with the dense basis matrices,
+        # for a vector (q = 0) and for an operator with q columns
+        alg = _algebra(blocks, flipped)
+        shape = (alg.ambient_dim, q) if q else (alg.ambient_dim,)
+        v = _complex(np.random.default_rng(seed), shape)
+        dense = represent(coordinate_basis_stack(alg)) @ v
+        got = basis_action(alg, v)
+        assert got.shape == (alg.coord_dim,) + shape
+        np.testing.assert_array_equal(got, dense)
 
     def test_decompose_names_the_first_stacked_matrix_that_fails(self):
         alg = make_algebra([(1, 2)])

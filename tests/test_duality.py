@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpdilate import duality
-from cpdilate.algebra import (basis_action, coordinate_basis, coordinates,
-                              element, identity, make_algebra, represent,
-                              state_value)
+from cpdilate.algebra import (MatrixBlockAlgebra, basis_action,
+                              coordinate_basis, coordinates, element, identity,
+                              make_algebra, represent, state_value)
 from cpdilate.cpmap import (apply, identity_map, kraus_decomposition,
                             make_cpmap)
 from cpdilate.duality import (_commutant_lifting, build_context,
@@ -18,7 +18,8 @@ from cpdilate.duality import (_commutant_lifting, build_context,
                               extension_from_dilation, full_algebra,
                               is_minimal_dilation, state_transport_residual,
                               swap_context, xi_prime)
-from cpdilate.dilation import WeakTensorDilation, weak_tensor_dilation
+from cpdilate.dilation import (WeakTensorDilation, verify_dilation,
+                               weak_tensor_dilation)
 from cpdilate.errors import (InconsistentSystem, NotCovariant, NotCyclic,
                              NotExtension, StateMismatch)
 from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
@@ -237,7 +238,8 @@ def lifting_inputs(ctx):
 class TestCommutantLifting:
     def assert_matches_span_oracle(self, ctx):
         data, xi = lifting_inputs(ctx)
-        j_ops, p_h = _commutant_lifting(ctx, data, xi, DEFAULT_TOL)
+        v = _commutant_lifting(ctx, data, xi, DEFAULT_TOL)
+        j_ops, p_h = data.rho_prime_compression(v.conj().T), v @ v.conj().T
         j_span, p_span = span_commutant_lifting(ctx, xi)
         assert np.max(frob_each(j_ops - j_span)) <= 1e-12
         assert frob(p_h - p_span) <= 1e-12
@@ -320,8 +322,8 @@ class TestClosedFormIsometries:
         d = dual_dilation(ctx)
         with pytest.raises(InconsistentSystem,
                            match="associated isometry is not well-defined"):
-            extension_from_dilation(ctx,
-                                    replace(d, j_ops=d.j_ops * (1 + 1e-6)))
+            extension_from_dilation(
+                ctx, replace(d, isometry=d.isometry * (1 + 1e-6)))
 
 
 class TestMinimality:
@@ -332,23 +334,34 @@ class TestMinimality:
 
     def test_enlarged_dilation_not_minimal(self, worked_ctx):
         # duplicate the representation on a second copy of L with the state
-        # vector supported on the first copy only
+        # vector supported on the first copy only: H⊕H with ρ ⊕ ρ (each
+        # multiplicity r_i doubled) and V ⊕ V, so j is j ⊕ j
         sp = dual_map(worked_ctx)
         d = weak_tensor_dilation(sp)
-        l, n = d.k_dim, d.j_ops.shape[1]
-        big = np.zeros((d.j_ops.shape[0], 2 * n, 2 * n), dtype=complex)
-        for i in range(d.j_ops.shape[0]):
-            big[i][:n, :n] = d.j_ops[i]
-            big[i][n:, n:] = d.j_ops[i]
-        p_big = np.zeros((2 * n, 2 * n), dtype=complex)
-        p_big[:n, :n] = d.p_i_matrix
-        p_big[n:, n:] = d.p_i_matrix
-        psi_big = np.zeros(2 * l, dtype=complex)
-        psi_big[:l] = d.psi_vector
-        enlarged = WeakTensorDilation(cpmap=sp, k_dim=2 * l,
-                                      psi_vector=psi_big, j_ops=big,
-                                      p_i_matrix=p_big)
-        from cpdilate.dilation import verify_dilation
+        data, v = d.gns_data, d.isometry
+        n = v.shape[0]
+        big = replace(data, h_alg=MatrixBlockAlgebra(
+            blocks=tuple((dim, 2 * r) for dim, r in data.h_alg.blocks)),
+            tau=tuple(np.stack([np.kron(np.eye(2), x) for x in t])
+                      for t in data.tau))
+        v_big = np.zeros((2 * n, 2 * v.shape[1]), dtype=complex)
+        pos = 0
+        for dim, r in data.h_alg.blocks:
+            for u in range(dim):
+                cols = v[:, pos + u * r:pos + (u + 1) * r]
+                start = 2 * pos + u * 2 * r
+                v_big[:n, start:start + r] = cols
+                v_big[n:, start + r:start + 2 * r] = cols
+            pos += dim * r
+        psi_big = np.zeros(2 * d.k_dim, dtype=complex)
+        psi_big[:d.k_dim] = d.psi_vector
+        enlarged = WeakTensorDilation(cpmap=sp, k_dim=2 * d.k_dim,
+                                      psi_vector=psi_big, isometry=v_big,
+                                      gns_data=big)
+        for i, j in enumerate(d.j_ops):
+            assert_allclose(enlarged.j_ops[i][:n, :n], j, rtol=0, atol=1e-15)
+            assert_allclose(enlarged.j_ops[i][n:, n:], j, rtol=0, atol=1e-15)
+            assert np.max(np.abs(enlarged.j_ops[i][:n, n:])) == 0.0
         assert verify_dilation(enlarged).max_residual <= 1e-9
         assert not is_minimal_dilation(sp, enlarged)
 

@@ -442,13 +442,13 @@ class TestEmbedding:
         data = gns(identity_map(alg))
         emb = embed_qons(data, qons(data))
         assert emb.k_dim == 1
-        assert_allclose(emb.p_i_matrix, np.eye(2), atol=1e-12)
+        assert_allclose(emb.u @ emb.u.conj().T, np.eye(2), atol=1e-12)
 
     def test_worked_p_i(self, worked_gns, worked_map):
         emb = embed_qons(worked_gns, qons(worked_gns, worked_seed(worked_gns, worked_map)))
         assert emb.k_dim == 3
-        assert_allclose(emb.p_i_matrix, np.diag([1, 1, 1, 0, 0, 1]).astype(complex),
-                        atol=1e-12)
+        assert_allclose(emb.u @ emb.u.conj().T,
+                        np.diag([1, 1, 1, 0, 0, 1]).astype(complex), atol=1e-12)
 
     def test_unitarity_random(self, rng):
         for _ in range(5):
@@ -459,7 +459,12 @@ class TestEmbedding:
             emb = embed_qons(data, qons(data))
             u = emb.u
             assert np.linalg.norm(u.conj().T @ u - np.eye(data.h_dim)) <= 1e-10
-            assert np.linalg.norm(u @ u.conj().T - emb.p_i_matrix) <= 1e-10
+            # u·u* is the diagonal projection Σ_i p_i ⊗ |k_i⟩⟨k_i|
+            p_i = np.zeros_like(u @ u.conj().T)
+            g = b_alg.ambient_dim
+            for k, p in enumerate(emb.system.projections):
+                p_i[k * g:(k + 1) * g, k * g:(k + 1) * g] = represent(p)
+            assert np.linalg.norm(u @ u.conj().T - p_i) <= 1e-10
 
     def test_coefficients_land_in_corners(self, worked_gns, worked_map):
         emb = embed_qons(worked_gns, qons(worked_gns, worked_seed(worked_gns, worked_map)))
