@@ -229,8 +229,9 @@ def basis_sandwich(alg: MatrixBlockAlgebra, left, right) -> np.ndarray:
     return out
 
 
-def basis_action(alg: MatrixBlockAlgebra, v) -> np.ndarray:
-    """x_c·v for every coordinate basis element x_c: rows (n, N) for a
+def basis_action(alg: MatrixBlockAlgebra, v, coords=None) -> np.ndarray:
+    """x_c·v for every coordinate basis element x_c, or for the elements
+    ``coords`` (an index array or slice) in that order: rows (n, N) for a
     vector v, (n, N, q) for an operator v of shape (N, q).
 
     E_st of a block moves the rows (t, e) of v to the rows (s, e), e on the
@@ -239,19 +240,23 @@ def basis_action(alg: MatrixBlockAlgebra, v) -> np.ndarray:
     """
     v = as_complex(v)
     rows = v.reshape(alg.ambient_dim, -1)
-    out = np.zeros((alg.coord_dim,) + rows.shape, dtype=np.complex128)
+    chosen = np.arange(alg.coord_dim)
+    if coords is not None:
+        chosen = chosen[coords]
+    out = np.zeros((len(chosen),) + rows.shape, dtype=np.complex128)
     pos = 0
     for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
         legs = (m, d) if alg.flipped else (d, m)
+        at = np.flatnonzero((chosen >= off) & (chosen < off + d * d))
+        s, t = np.divmod(chosen[at] - off, d)
         block = rows[pos:pos + d * m].reshape(legs + rows.shape[1:])
-        target = out[off:off + d * d, pos:pos + d * m].reshape(
-            (d, d) + legs + rows.shape[1:])
-        # out[(s, t), rows (s, e)] = v[rows (t, e)] for every s
-        s = np.arange(d)
+        target = out[:, pos:pos + d * m].reshape(
+            (len(chosen),) + legs + rows.shape[1:])
+        # out[c, rows (s, e)] = v[rows (t, e)] for c = E_st
         if alg.flipped:
-            target[s, :, :, s] = block.swapaxes(0, 1)
+            target[at, :, s] = block[:, t].swapaxes(0, 1)
         else:
-            target[s, :, s] = block
+            target[at, s] = block[t]
         pos += d * m
     return out.reshape((-1,) + v.shape)
 

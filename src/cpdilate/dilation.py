@@ -22,12 +22,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .algebra import (AlgebraElement, adjoint_permutation, basis_action,
-                      commutant, coordinates, represent)
+                      commutant, represent)
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
 from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob_each
-from .vnmodule import (GNSData, QONS, embed_qons, gns, polar_decompose_module,
-                       qons)
+from .vnmodule import (CHUNK_ENTRIES, GNSData, QONS, embed_qons, gns,
+                       polar_decompose_module, qons)
 
 VERIFY_TOL = RESIDUAL_FLOOR
 
@@ -118,8 +118,10 @@ class WeakTensorDilation:
         return self.isometry @ self.isometry.conj().T
 
     def j(self, a: AlgebraElement) -> np.ndarray:
-        """Ambient matrix of j(a) on G⊗K."""
-        return np.tensordot(coordinates(a), self.j_ops, axes=1)
+        """Ambient matrix of j(a) = V·π(a)·V* on G⊗K."""
+        data, v = self.gns_data, self.isometry
+        pi = data.rho_prime(a) if self.lifted else data.rho(a)
+        return v @ pi @ v.conj().T
 
     def j_basis_action(self, w) -> np.ndarray:
         """j(x_a)·w = V·π(x_a)·(V*·w) for every source coordinate basis
@@ -137,13 +139,15 @@ def _pi_conjugation(d: WeakTensorDilation, u) -> np.ndarray:
     return d.gns_data.rho_basis_conjugation(u)
 
 
-def _basis_action(d: WeakTensorDilation, w, sigma=False) -> np.ndarray:
+def _basis_action(d: WeakTensorDilation, w, coords=None,
+                  sigma=False) -> np.ndarray:
     """π(x_a)·w over the source coordinate basis, or σ(c)·w over the
     coordinate basis of the target's commutant with ``sigma``: ρ′ of the
-    GNS data for one of them, ρ for the other."""
+    GNS data for one of them, ρ for the other.  ``coords`` picks elements
+    of the basis."""
     if d.lifted != sigma:
-        return d.gns_data.rho_prime_basis_action(w)
-    return d.gns_data.rho_basis_action(w)
+        return d.gns_data.rho_prime_basis_action(w, coords)
+    return d.gns_data.rho_basis_action(w, coords)
 
 
 def _gram_block_maximum(d: WeakTensorDilation) -> float:
@@ -165,23 +169,29 @@ def _gram_block_maximum(d: WeakTensorDilation) -> float:
 
 def _membership_residual(d: WeakTensorDilation, sigma_star: float) -> float:
     """``DilationCertificate.membership``, for σ with star residual
-    ``sigma_star``."""
+    ``sigma_star``.  The commutant's basis is taken in chunks of
+    ``CHUNK_ENTRIES`` entries of (c⊗I_K)·V, at least one element each."""
     target = d.cpmap.target
     if target.is_full():
         return 0.0
     comm = commutant(target)
     v = d.isometry
-    n, g, h = comm.coord_dim, target.ambient_dim, v.shape[1]
-    # (c⊗I_K)·V moves the rows (k, g) of V on the g leg: (n, G, K, H)
-    moved = basis_action(comm, v.reshape(d.k_dim, g, h).transpose(1, 0, 2)
-                         .reshape(g, -1)).reshape(n, g, d.k_dim, h)
-    # V·σ(c) = (σ(c*)·V*)*, laid out like ``moved``
-    sigma = _basis_action(d, v.conj().T, sigma=True)
-    moved -= sigma[adjoint_permutation(comm)].conj().reshape(
-        n, h, d.k_dim, g).transpose(0, 3, 2, 1)
-    worst = np.sqrt(np.max(np.sum(moved.real ** 2 + moved.imag ** 2,
-                                  axis=(1, 3))))
-    return max(float(worst), sigma_star)
+    k, g, h = d.k_dim, target.ambient_dim, v.shape[1]
+    # V on the g leg with columns (k, h), which (c⊗I_K) moves, and V*
+    rows = v.reshape(k, g, h).transpose(1, 0, 2).reshape(g, -1)
+    v_star = v.conj().T
+    perm = adjoint_permutation(comm)
+    step = max(1, CHUNK_ENTRIES // v.size)
+    worst = sigma_star
+    for lo in range(0, comm.coord_dim, step):
+        chunk = slice(lo, lo + step)
+        # (c⊗I_K)·V as (L, G, K, H), minus V·σ(c) = (σ(c*)·V*)* alike
+        moved = basis_action(comm, rows, chunk).reshape(-1, g, k, h)
+        sigma = _basis_action(d, v_star, perm[chunk], sigma=True)
+        moved -= sigma.conj().reshape(-1, h, k, g).transpose(0, 3, 2, 1)
+        sq = np.sum(moved.real ** 2 + moved.imag ** 2, axis=(1, 3))
+        worst = max(worst, float(np.sqrt(np.max(sq))))
+    return worst
 
 
 def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
@@ -191,9 +201,10 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     the dense check of the matrices j(x): the homomorphism relations, the
     star identity, membership of every K-block of every j(x) in B, the
     expectation identity ((id⊗ψ)∘j = S, sandwiched by |ξ| in the non-unital
-    case) and that j(1) = p_I is an orthogonal projection.  The largest
-    array it forms is the commutant's basis applied to V, n_{B'}·K·G·H
-    entries, and the expectation costs n_A·G·H².
+    case) and that j(1) = p_I is an orthogonal projection.  Its largest
+    arrays are the H² of V*V, the n_A·G² of the expectation, which costs
+    n_A·G·H², and a chunk of membership, about max(K·G·H,
+    ``CHUNK_ENTRIES``) entries.
     """
     target = d.cpmap.target
     # ρ is exact; ρ′ is π when lifted, and σ otherwise
@@ -201,7 +212,7 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     if d.lifted:
         pi_rel, pi_star, pi_unit = d.gns_data.rho_prime_residuals()
     elif not target.is_full():
-        sigma_star = d.gns_data.rho_prime_residuals()[1]
+        sigma_star = d.gns_data.rho_prime_star_residual()
     gram = _gram_block_maximum(d)
 
     w = np.tensordot(np.conj(d.psi_vector),

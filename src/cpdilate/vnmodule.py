@@ -35,6 +35,8 @@ from .numerics import (DEFAULT_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR, as_complex,
                        floored, frob, frob_each, hermitian_eig, psd_functions)
 
 H_DIM_CAP = 512
+# entries of the largest temporary that a check taken in chunks forms
+CHUNK_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,11 @@ class GNSData:
     block i of H.  No (n, H, H) stack of either representation is stored:
     ``rho_basis_action``, ``rho_prime_basis_action``,
     ``rho_basis_conjugation`` and ``rho_prime_compression`` apply them
-    over a whole coordinate basis, ``rho_prime_residuals`` certifies ρ'
-    from the τ_i, and ``rho`` materializes a single element.  ``xi`` is the
-    cyclic vector as an operator G → H, and ``module_dim`` = Σ_b d_b·μ_b
-    is the dimension of the module E = span{ρ(a)·ξ·b} = C_{B'}(B(G, H)).
+    over a coordinate basis, ``rho_prime_residuals`` certifies ρ' from
+    the τ_i, and ``rho`` and ``rho_prime`` materialize a single element.
+    ``xi`` is the cyclic vector as an operator G → H, and ``module_dim`` =
+    Σ_b d_b·μ_b is the dimension of the module E = span{ρ(a)·ξ·b} =
+    C_{B'}(B(G, H)).
     ``module_basis``, an HS-orthonormal basis of E, is built only when
     read; ``bench/`` reads it.
     """
@@ -79,22 +82,18 @@ class GNSData:
         """Stinespring representation of a source element, ⊕_i a_i⊗I_{r_i}."""
         return represent(AlgebraElement(self.h_alg, a.block_matrices))
 
-    def rho_basis_action(self, v) -> np.ndarray:
-        """ρ(x_a)·v for every coordinate basis element x_a of A: (n_A, H)
-        for a vector v, (n_A, H, q) for an operator v of shape (H, q)."""
-        v = as_complex(v)
-        rows = v.reshape(self.h_dim, -1)
-        out = np.zeros((self.h_alg.coord_dim,) + rows.shape,
-                       dtype=np.complex128)
-        pos = 0
-        for off, (d, r) in zip(self.h_alg.coord_offsets(), self.h_alg.blocks):
-            # ρ(E_uw)·v holds the rows (w, k) of v in its rows (u, k)
-            block = rows[pos:pos + d * r].reshape(d, r, rows.shape[1])
-            for u in range(d):
-                out[off + u * d:off + (u + 1) * d,
-                    pos + u * r:pos + (u + 1) * r] = block
-            pos += d * r
-        return out.reshape((-1,) + v.shape)
+    def rho_prime(self, c: AlgebraElement) -> np.ndarray:
+        """Commutant lifting of an element of B', ⊕_i I_{d_i}⊗τ_i(c)."""
+        x = coordinates(c)
+        return _block_diagonal(self, [np.tensordot(x, t, axes=1)
+                                      for t in self.tau])
+
+    def rho_basis_action(self, v, coords=None) -> np.ndarray:
+        """ρ(x_a)·v for every coordinate basis element x_a of A, or for the
+        elements ``coords``: (n_A, H) for a vector v, (n_A, H, q) for an
+        operator v of shape (H, q).  ρ is the standard representation of
+        ``h_alg``, so this is its ``basis_action``."""
+        return alg_mod.basis_action(self.h_alg, v, coords)
 
     def rho_basis_conjugation(self, u) -> np.ndarray:
         """u·ρ(x_a)·u* for every coordinate basis element x_a of A, stacked
@@ -111,15 +110,17 @@ class GNSData:
             pos += d * r
         return out
 
-    def rho_prime_basis_action(self, v) -> np.ndarray:
-        """ρ'(x_c)·v for every coordinate basis element x_c of B': (n_{B'}, H)
-        for a vector v, (n_{B'}, H, q) for an operator v of shape (H, q).
-        On block i of H, τ_i(x_c) acts on the rows (u, ·) of v for each u."""
+    def rho_prime_basis_action(self, v, coords=None) -> np.ndarray:
+        """ρ'(x_c)·v for every coordinate basis element x_c of B', or for
+        the elements ``coords``: (n_{B'}, H) for a vector v, (n_{B'}, H, q)
+        for an operator v of shape (H, q).  On block i of H, τ_i(x_c) acts
+        on the rows (u, ·) of v for each u."""
         v = as_complex(v)
         rows = v.reshape(self.h_dim, -1)
-        out = np.empty((len(self.tau[0]),) + rows.shape, dtype=np.complex128)
+        taus = [t if coords is None else t[coords] for t in self.tau]
+        out = np.empty((len(taus[0]),) + rows.shape, dtype=np.complex128)
         pos = 0
-        for (d, r), t in zip(self.h_alg.blocks, self.tau):
+        for (d, r), t in zip(self.h_alg.blocks, taus):
             block = rows[pos:pos + d * r].reshape(d, r, -1)
             out[:, pos:pos + d * r] = np.matmul(t[:, None], block).reshape(
                 len(t), d * r, -1)
@@ -133,8 +134,9 @@ class GNSData:
         R2 ρ'(E_0u)·ρ'(E_v0) = δ_uv·ρ'(E_00) per block of B' and
         R3 ρ'(1_b)·ρ'(1_c) = 0 for blocks b ≠ c; ``star`` is the largest
         ‖ρ'(x_c*) − ρ'(x_c)*‖ over the coordinate basis and ``unit`` is
-        ‖ρ'(1) − I_H‖.  Each is the Frobenius norm on H of one relation,
-        √(Σ_i d_i·‖…‖²) from the τ_i."""
+        ‖ρ'(1) − I_H‖ (see ``rho_prime_star_residual``).  Each is the
+        Frobenius norm on H of one relation, √(Σ_i d_i·‖…‖²) from the τ_i;
+        the products are formed in chunks of ``CHUNK_ENTRIES``."""
         comm = commutant(self.target)
         # R1 and R2 as (left, right, minus) index triples over the basis;
         # minus −1 marks an R2 with u ≠ v, whose product should vanish
@@ -147,22 +149,38 @@ class GNSData:
             starts.append(sum(map(len, diagonal)))
             diagonal.append(off + np.arange(m) * (m + 1))
         left, right, minus = map(np.concatenate, (left, right, minus))
-        perm = alg_mod.adjoint_permutation(comm)
         n_blk = comm.block_count
         rel_sq = np.zeros(len(left) + n_blk * n_blk)
-        star_sq = np.zeros(comm.coord_dim)
         unit_sq = 0.0
         for (d, r), t in zip(self.h_alg.blocks, self.tau):
-            rel = t[left] @ t[right]
-            rel[minus >= 0] -= t[minus[minus >= 0]]
+            rel = np.empty(len(left))
+            step = max(1, CHUNK_ENTRIES // max(1, r * r))
+            for lo in range(0, len(left), step):
+                chunk = slice(lo, lo + step)
+                prod = t[left[chunk]] @ t[right[chunk]]
+                drop = minus[chunk]
+                prod[drop >= 0] -= t[drop[drop >= 0]]
+                rel[chunk] = frob_each(prod)
             units = np.add.reduceat(t[np.concatenate(diagonal)], starts, axis=0)
             cross = frob_each(units[:, None] @ units[None])
             cross[np.diag_indices(n_blk)] = 0.0
-            rel_sq += d * np.concatenate([frob_each(rel), cross.ravel()]) ** 2
-            star_sq += d * frob_each(t[perm] - t.conj().transpose(0, 2, 1)) ** 2
+            rel_sq += d * np.concatenate([rel, cross.ravel()]) ** 2
             unit_sq += d * frob(units.sum(axis=0) - np.eye(r)) ** 2
-        return (float(np.sqrt(rel_sq.max())), float(np.sqrt(star_sq.max())),
+        return (float(np.sqrt(rel_sq.max())), self.rho_prime_star_residual(),
                 float(np.sqrt(unit_sq)))
+
+    def rho_prime_star_residual(self) -> float:
+        """max ‖ρ'(x_c*) − ρ'(x_c)*‖ over the coordinate basis of B', the
+        Frobenius norm on H from the τ_i, in chunks of ``CHUNK_ENTRIES``."""
+        perm = alg_mod.adjoint_permutation(commutant(self.target))
+        star_sq = np.zeros(len(perm))
+        for (d, r), t in zip(self.h_alg.blocks, self.tau):
+            step = max(1, CHUNK_ENTRIES // max(1, r * r))
+            for lo in range(0, len(perm), step):
+                chunk = slice(lo, lo + step)
+                diff = t[perm[chunk]] - t[chunk].conj().transpose(0, 2, 1)
+                star_sq[chunk] += d * frob_each(diff) ** 2
+        return float(np.sqrt(star_sq.max()))
 
     def rho_prime_compression(self, x) -> np.ndarray:
         """x*·ρ'(x_c)·x for every coordinate basis element x_c of B', stacked

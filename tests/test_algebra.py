@@ -370,6 +370,21 @@ class TestBatchedKernels:
         assert got.shape == (alg.coord_dim,) + shape
         np.testing.assert_array_equal(got, dense)
 
+    @settings(max_examples=40, deadline=None)
+    @given(BLOCKS, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_basis_action_on_chosen_elements_selects_rows(self, blocks,
+                                                          flipped, seed):
+        # an index array in any order, with repeats, and strided slices
+        alg = _algebra(blocks, flipped)
+        rng = np.random.default_rng(seed)
+        v = _complex(rng, (alg.ambient_dim, 2))
+        full = basis_action(alg, v)
+        n = alg.coord_dim
+        for coords in (rng.integers(0, n, size=n + 2), slice(1, None, 3),
+                       slice(n // 2, n), slice(n, n)):
+            np.testing.assert_array_equal(basis_action(alg, v, coords),
+                                          full[coords])
+
     def test_decompose_names_the_first_stacked_matrix_that_fails(self):
         alg = make_algebra([(1, 2)])
         good = np.eye(2)

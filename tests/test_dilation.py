@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cpdilate import algebra, dilation
+from cpdilate import algebra, dilation, vnmodule
 from cpdilate.algebra import (adjoint_permutation, commutant, coordinate_basis,
                               coordinate_basis_stack, coordinates, element,
                               identity, make_algebra, represent)
@@ -269,8 +269,15 @@ class TestHomomorphismCertificate:
     The exhaustive residual is at most (1 + 10·max_i d_i)·M_j⁴ times the
     dense R1–R3 (with M_j bounding the ‖j(x)‖_op), and those are at most
     M²·(N + 1)·homomorphism for π = ρ, so both flag the same draws at
-    VERIFY_TOL.
+    VERIFY_TOL.  Conversely, with π = ρ the oracle's pair (E_0u, E_v0)
+    gives V^i_0·D_uv·(V^k_0)*, D_uv the block of V*V − I between the row
+    blocks (i, u) and (k, v) and V^i_0 a column block of V, so
+    homomorphism ≤ oracle / s², s the smallest singular value of a column
+    block of V: the certificate does not over-report.
     """
+
+    # the oracle's products round at about 1e-16 on these draws
+    ROUNDING = 4 * np.finfo(float).eps
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
@@ -286,6 +293,9 @@ class TestHomomorphismCertificate:
         got = verify_dilation(d).homomorphism
         oracle = exhaustive_homomorphism_residual(source, d.j_ops)
         assert (got > VERIFY_TOL) == (oracle > VERIFY_TOL)
+        s_min = min(np.linalg.svd(d.isometry[:, cols], compute_uv=False)[-1]
+                    for cols, _ in column_blocks(d))
+        assert got <= oracle / s_min ** 2 + self.ROUNDING
         if log_size is None:
             assert oracle <= VERIFY_TOL
         else:
@@ -573,3 +583,40 @@ def test_m6_dilation_stays_under_twenty_megabytes():
     assert d.k_dim == 36
     assert d.certificate.max_residual <= VERIFY_TOL
     assert peak < 20e6
+
+
+def test_commutant_target_dilation_stays_under_twenty_five_megabytes():
+    # M₂⊕M₂ → ℂ·I₁₆: H = K·G = 128, K = 8 and n_{B'} = 256.  The commutant
+    # applied to V at once would take 67 MB per array; gns alone peaks near
+    # 17 MB with τ
+    s = random_unital_cp_map(np.random.default_rng(0),
+                             make_algebra([(2, 2), (2, 2)]),
+                             make_algebra([(1, 16)]))
+    tracemalloc.start()
+    try:
+        d = weak_tensor_dilation(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.k_dim, d.isometry.shape[1]) == (8, 128)
+    assert d.certificate.max_residual <= VERIFY_TOL
+    assert peak < 25e6
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["constructive", "commutant", "recovered"]),
+       st.sampled_from([None, "rotate", "tau"]))
+def test_certificate_in_one_element_chunks_is_the_same(seed, kind, change):
+    # membership and ρ′'s star residual taken one basis element at a time
+    rng = np.random.default_rng(seed)
+    d = draw_dilation(kind, rng)
+    if change is not None:
+        d = perturb(d, change, rng)
+        assume(d is not None)
+    whole = verify_dilation(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dilation, "CHUNK_ENTRIES", 1)
+        mp.setattr(vnmodule, "CHUNK_ENTRIES", 1)
+        chunked = verify_dilation(d)
+    assert chunked == whole

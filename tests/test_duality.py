@@ -358,10 +358,11 @@ class TestMinimality:
         enlarged = WeakTensorDilation(cpmap=sp, k_dim=2 * d.k_dim,
                                       psi_vector=psi_big, isometry=v_big,
                                       gns_data=big)
-        for i, j in enumerate(d.j_ops):
-            assert_allclose(enlarged.j_ops[i][:n, :n], j, rtol=0, atol=1e-15)
-            assert_allclose(enlarged.j_ops[i][n:, n:], j, rtol=0, atol=1e-15)
-            assert np.max(np.abs(enlarged.j_ops[i][:n, n:])) == 0.0
+        big_ops = enlarged.j_ops
+        for j, big_j in zip(d.j_ops, big_ops, strict=True):
+            assert_allclose(big_j[:n, :n], j, rtol=0, atol=1e-15)
+            assert_allclose(big_j[n:, n:], j, rtol=0, atol=1e-15)
+            assert np.max(np.abs(big_j[:n, n:])) == 0.0
         assert verify_dilation(enlarged).max_residual <= 1e-9
         assert not is_minimal_dilation(sp, enlarged)
 

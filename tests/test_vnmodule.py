@@ -119,6 +119,7 @@ class TestGns:
                         data.xi.conj().T @ rho_prime @ data.xi, atol=1e-15)
         assert_allclose(data.rho_basis_conjugation(data.xi.T),
                         data.xi.T @ rho @ data.xi.conj(), atol=1e-15)
+        assert max(data.rho_prime_residuals()) <= 1e-14
         d = weak_tensor_dilation(s)
         assert d.k_dim == 1
         assert d.certificate.max_residual <= 1e-12
