@@ -293,7 +293,7 @@ def cmd_roundtrip(args, ctx, tols, timer) -> dict:
     }
     dims_match = d_back.k_dim == ext.kraus.l_dim
     stage = _stage("roundtrip", residuals, tols["roundtrip"],
-                   minimal=is_minimal_dilation(s_prime, d_back,
+                   minimal=is_minimal_dilation(d_back, d_prime.gns_data,
                                                tols["construct"]),
                    l_dims_match=dims_match)
     return {"dims": {"L_forward": ext.l_dim, "L_back": d_back.k_dim},

@@ -145,15 +145,15 @@ def covariance_residual(s: CPMap, f, g) -> float:
 
 @dataclass(frozen=True)
 class KrausForm:
-    """Kraus operators and the assembled Stinespring isometry of a map
-    between full algebras.
+    """The Stinespring isometry of a map between full algebras, assembled
+    from its Kraus operators.
 
-    Each entry of ``operators`` maps G → F; the isometry stacks them into
-    G → F⊗L with the L leg slowest, so ``Z(x) = ξ*(x ⊗ I_L)ξ``.
+    The isometry stacks the L Kraus operators G → F into G → F⊗L with the
+    L leg slowest, so ``Z(x) = ξ*(x ⊗ I_L)ξ`` and operator k is
+    ``isometry.reshape(l_dim, F, G)[k]``.
     """
 
     l_dim: int
-    operators: tuple
     isometry: np.ndarray
     reconstruction_residual: float
     completeness_residual: float
@@ -181,6 +181,6 @@ def kraus_decomposition(z: CPMap, tol: float = DEFAULT_TOL) -> KrausForm:
     summed = np.einsum("kug,kvh->uvgh", stack.conj(), stack).reshape(direct.shape)
     recon = float(np.max(frob_each(direct - summed)))
     complete = frob(isometry.conj().T @ isometry - np.eye(dim_g))
-    return KrausForm(l_dim=len(stack), operators=tuple(stack), isometry=isometry,
+    return KrausForm(l_dim=len(stack), isometry=isometry,
                      reconstruction_residual=recon,
                      completeness_residual=complete)

@@ -104,7 +104,6 @@ class WeakTensorDilation:
     lifted: bool = False
     certificate: DilationCertificate = None
     absxi: AlgebraElement = None
-    system: QONS = field(default=None, repr=False)
 
     @property
     def j_ops(self) -> np.ndarray:
@@ -237,8 +236,7 @@ def _assemble(s: CPMap, data: GNSData, system: QONS, tol: float,
     psi = np.zeros(emb.k_dim, dtype=np.complex128)
     psi[0] = 1.0
     d = WeakTensorDilation(cpmap=s, k_dim=emb.k_dim, psi_vector=psi,
-                           isometry=emb.u, gns_data=data, absxi=absxi,
-                           system=system)
+                           isometry=emb.u, gns_data=data, absxi=absxi)
     return replace(d, certificate=verify_dilation(d))
 
 

@@ -11,6 +11,10 @@ V·ρ(a)·ξ_S = (a⊗I_L)·ξ_Z carries the GNS space of S onto the Stinespring
 space of Z, and the commutant lifting there is j(b') = V·ρ'(b')·V*.
 ξ', ξ and V come from one closed form, ``_stinespring_isometry``.  Both
 directions are verified with explicit residuals.
+
+Minimality of a dilation of S' is one rank: by Stinespring uniqueness the
+GNS module of S' has the ``module_dim`` of the GNS data of S', which the
+caller of ``is_minimal_dilation`` passes in.
 """
 
 from dataclasses import dataclass, field, replace
@@ -336,31 +340,25 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
     return replace(d, certificate=verify_dilation(d))
 
 
-def is_minimal_dilation(s_prime: CPMap, d: WeakTensorDilation,
+def is_minimal_dilation(d: WeakTensorDilation, data: GNSData,
                         tol: float = DEFAULT_TOL) -> bool:
-    """True iff the dilation's module is the GNS module of S'.
+    """True iff the module of the dilation ``d`` of S' = ``d.cpmap`` is the
+    GNS module of S'.  ``data`` is the GNSData of S' (the roundtrip passes
+    that of the dilation it constructed from S'), not the GNS data of S
+    that a recovered dilation conjugates with.
 
-    Compares the rank of the B'-A' span of ξ'' = (id⊗ℓ) inside
-    E' = j(1)(A'⊗L) with the rank of E' itself.  j(b')·ξ'' is formed from
-    the factors, V·π(b')·(V*·ξ''), and j(1) as p_I = V·V*.
+    The module is spanned by the p_I·(e_l⊗a'), and V is injective, so its
+    dimension is the rank of the L·n_{A'} operators V_l*·a' in B(F, H),
+    V_l* = V*·(e_l⊗I_F), stacked with n_{A'}·L·H·F entries.  It contains
+    the span of the π(b')·η·a', η = V*·(ℓ⊗I_F), and η*·π(b')·η = S'(b'),
+    so by Stinespring uniqueness that span has dimension
+    ``data.module_dim``: minimal iff the rank equals it.
     """
-    a_comm = s_prime.target           # A' ⊂ B(F)
-    dim_f = a_comm.ambient_dim
-    l_dim = d.k_dim
-    ell = d.psi_vector
-    xi2 = np.kron(ell.reshape(-1, 1), np.eye(dim_f, dtype=np.complex128))
-
-    reps = represent(coordinate_basis_stack(a_comm))
-    gns_vecs = np.einsum("cxf,pfh->cpxh", d.j_basis_action(xi2), reps,
-                         optimize=True)
-    rank_gns = matrix_rank(gns_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
-
-    j_unit = d.p_i_matrix
-    full_vecs = np.einsum("xlf,pfh->lpxh",
-                          j_unit.reshape(l_dim * dim_f, l_dim, dim_f), reps,
-                          optimize=True)
-    rank_full = matrix_rank(full_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
-    return rank_gns == rank_full
+    reps = represent(coordinate_basis_stack(d.cpmap.target))  # A' ⊂ B(F)
+    h_dim, dim_f = d.isometry.shape[1], reps.shape[-1]
+    v_star = d.isometry.conj().T.reshape(h_dim, d.k_dim, dim_f)
+    ops = v_star.transpose(1, 0, 2)[None] @ reps[:, None]
+    return matrix_rank(ops.reshape(-1, h_dim * dim_f), tol) == data.module_dim
 
 
 def extend_cp_map(ctx: DualityContext, tol: float = DEFAULT_TOL) -> Extension:

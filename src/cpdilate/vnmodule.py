@@ -362,14 +362,13 @@ def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):
 class QONS:
     """Quasi-orthonormal system: elements e_i (operators G → H) with
     projections p_i = ⟨e_i, e_i⟩ in B.  The residuals are those of the
-    relations e_i*·e_j = δ_ij·p_i, of the completeness Σ e_i e_i* = 1 and
-    of ρ'(c)·e_i = e_i·c."""
+    relations e_i*·e_j = δ_ij·p_i and of the completeness Σ e_i e_i* = 1;
+    ``qons`` raises when an element does not intertwine, ρ'(c)·e_i ≠ e_i·c."""
 
     elements: tuple
     projections: tuple
     relation_residual: float
     completeness_residual: float
-    intertwining_residual: float
 
     def __len__(self):
         return len(self.elements)
@@ -531,8 +530,7 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
             f"system does not sum to the identity (residual {completeness:.3e})")
     relation = _qons_relation_residual(elements, projections)
     return QONS(elements=tuple(elements), projections=tuple(projections),
-                relation_residual=relation, completeness_residual=completeness,
-                intertwining_residual=max(seed_intertwining, intertwining))
+                relation_residual=relation, completeness_residual=completeness)
 
 
 @dataclass(frozen=True)
@@ -546,7 +544,6 @@ class ModuleEmbedding:
 
     k_dim: int
     u: np.ndarray
-    system: QONS
 
 
 def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleEmbedding:
@@ -554,4 +551,4 @@ def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleE
     if system.completeness_residual > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS("embedding requires a complete system")
     u = np.vstack([e.conj().T for e in system.elements])
-    return ModuleEmbedding(k_dim=len(system), u=u, system=system)
+    return ModuleEmbedding(k_dim=len(system), u=u)

@@ -10,7 +10,7 @@ from cpdilate.cpmap import basis_images, stinespring_blocks
 from cpdilate.duality import map_from_isometry
 from cpdilate.errors import InconsistentSystem
 from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex, frob,
-                               frob_each)
+                               frob_each, matrix_rank)
 from cpdilate.sampling import random_unit_vector
 
 
@@ -137,6 +137,29 @@ def dense_certificate(d, j_ops=None) -> dict:
             "expectation": float(np.max(frob_each(got - images))),
             "unit_projection": max(frob(j_unit - p_i), frob(p_i @ p_i - p_i),
                                    frob(p_i - p_i.conj().T))}
+
+
+def dense_is_minimal(d, tol: float = DEFAULT_TOL) -> bool:
+    """The two-rank oracle of ``duality.is_minimal_dilation``: whether the
+    B'-A' span of ξ'' = ℓ⊗I_F inside E' = j(1)(A'⊗L) has the rank of E'
+    itself, for a dilation ``d`` of S' = ``d.cpmap``.  j(b')·ξ'' is formed
+    as V·π(b')·(V*·ξ'') and j(1) as p_I = V·V*.  Its span matrices have
+    L·F² rows and n_{B'}·n_{A'} or L·n_{A'} columns.
+    """
+    a_comm = d.cpmap.target           # A' ⊂ B(F)
+    dim_f = a_comm.ambient_dim
+    l_dim = d.k_dim
+    xi2 = np.kron(d.psi_vector.reshape(-1, 1),
+                  np.eye(dim_f, dtype=np.complex128))
+    reps = represent(coordinate_basis_stack(a_comm))
+    gns_vecs = np.einsum("cxf,pfh->cpxh", d.j_basis_action(xi2), reps,
+                         optimize=True)
+    rank_gns = matrix_rank(gns_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
+    full_vecs = np.einsum("xlf,pfh->lpxh",
+                          d.p_i_matrix.reshape(l_dim * dim_f, l_dim, dim_f),
+                          reps, optimize=True)
+    rank_full = matrix_rank(full_vecs.reshape(-1, l_dim * dim_f * dim_f).T, tol)
+    return rank_gns == rank_full
 
 
 def dense_rho_ops(data) -> np.ndarray:

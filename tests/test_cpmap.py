@@ -125,7 +125,7 @@ class TestKraus:
         alg = make_algebra([(2, 1)])
         kf = kraus_decomposition(identity_map(alg))
         assert kf.l_dim == 1
-        op = kf.operators[0]
+        op, = kf.isometry.reshape(1, 2, 2)
         assert_allclose(op, np.eye(2), atol=1e-12)
         assert kf.reconstruction_residual <= 1e-12
         assert kf.completeness_residual <= 1e-12
@@ -156,9 +156,9 @@ class TestKraus:
         assert np.sum(eig.values > 1e-10 * eig.scale) == 1
         kf = kraus_decomposition(z)
         assert kf.l_dim == 1
-        phase = kf.operators[0][0, 0] / u[0, 0] if abs(u[0, 0]) > 0.1 else \
-            kf.operators[0][0, 1] / u[0, 1]
-        assert_allclose(kf.operators[0], phase * u, atol=1e-10)
+        op, = kf.isometry.reshape(1, 2, 2)
+        phase = op[0, 0] / u[0, 0] if abs(u[0, 0]) > 0.1 else op[0, 1] / u[0, 1]
+        assert_allclose(op, phase * u, atol=1e-10)
         assert_allclose(abs(phase), 1.0, atol=1e-10)
 
     def test_zero_map_has_no_operators(self):
@@ -166,7 +166,7 @@ class TestKraus:
         z = make_cpmap(make_algebra([(2, 1)]), make_algebra([(3, 1)]),
                        np.zeros((9, 4)))
         kf = kraus_decomposition(z)
-        assert kf.l_dim == 0 and kf.operators == ()
+        assert kf.l_dim == 0
         assert kf.isometry.shape == (0, 3)
         assert kf.reconstruction_residual == 0.0
         assert_allclose(kf.completeness_residual, np.sqrt(3.0), rtol=1e-15)

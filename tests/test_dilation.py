@@ -418,9 +418,10 @@ class TestNonunitalRecovery:
         compressed = make_cpmap(worked_map.source, b_alg,
                                 np.stack(cols, axis=1))
         d, absxi = nonunital_recovery(compressed)
-        # p0 = support of S~(1) is the compressing projection
-        p0 = d.system.projections[0]
-        assert (p0 - p).norm() <= 1e-10
+        # p0 = support of S~(1) is the compressing projection; e₀ is the
+        # adjoint of the first K-block V₀ of V, so p₀ = e₀*·e₀ = V₀·V₀*
+        v0 = d.isometry[:b_alg.ambient_dim]
+        assert frob(v0 @ v0.conj().T - represent(p)) <= 1e-10
         assert d.certificate.max_residual <= 1e-10
 
     def test_unital_input_reduces(self, worked_map):

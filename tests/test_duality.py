@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
 from cpdilate.sampling import random_covariant_context, random_unit_vector
 from cpdilate.vnmodule import gns
 
-from conftest import (dense_rho_ops, dense_rho_prime_ops,
+from conftest import (dense_is_minimal, dense_rho_ops, dense_rho_prime_ops,
                       random_covariant_channel, span_commutant_lifting)
 
 SEEDS = range(12)
@@ -326,45 +327,77 @@ class TestClosedFormIsometries:
                 ctx, replace(d, isometry=d.isometry * (1 + 1e-6)))
 
 
+def doubled_dilation(d, second):
+    """The dilation j ⊕ j₂ of S' on L⊕L with the state vector supported on
+    the first copy: H⊕H carries ρ ⊕ ρ (each multiplicity r_i doubled) and
+    the isometry is V ⊕ ``second``, so j₂(x) = second·ρ(x)·second*."""
+    data, v = d.gns_data, d.isometry
+    n = v.shape[0]
+    big = replace(data, h_alg=MatrixBlockAlgebra(
+        blocks=tuple((dim, 2 * r) for dim, r in data.h_alg.blocks)),
+        tau=tuple(np.stack([np.kron(np.eye(2), x) for x in t])
+                  for t in data.tau))
+    v_big = np.zeros((2 * n, 2 * v.shape[1]), dtype=complex)
+    pos = 0
+    for dim, r in data.h_alg.blocks:
+        for u in range(dim):
+            cols = slice(pos + u * r, pos + (u + 1) * r)
+            start = 2 * pos + u * 2 * r
+            v_big[:n, start:start + r] = v[:, cols]
+            v_big[n:, start + r:start + 2 * r] = second[:, cols]
+        pos += dim * r
+    psi_big = np.zeros(2 * d.k_dim, dtype=complex)
+    psi_big[:d.k_dim] = d.psi_vector
+    return WeakTensorDilation(cpmap=d.cpmap, k_dim=2 * d.k_dim,
+                              psi_vector=psi_big, isometry=v_big,
+                              gns_data=big)
+
+
 class TestMinimality:
     def test_constructed_dilation_minimal(self, worked_ctx):
-        sp = dual_map(worked_ctx)
-        d = weak_tensor_dilation(sp)
-        assert is_minimal_dilation(sp, d)
+        d = weak_tensor_dilation(dual_map(worked_ctx))
+        assert is_minimal_dilation(d, d.gns_data)
+        assert dense_is_minimal(d)
 
     def test_enlarged_dilation_not_minimal(self, worked_ctx):
-        # duplicate the representation on a second copy of L with the state
-        # vector supported on the first copy only: H⊕H with ρ ⊕ ρ (each
-        # multiplicity r_i doubled) and V ⊕ V, so j is j ⊕ j
-        sp = dual_map(worked_ctx)
-        d = weak_tensor_dilation(sp)
-        data, v = d.gns_data, d.isometry
-        n = v.shape[0]
-        big = replace(data, h_alg=MatrixBlockAlgebra(
-            blocks=tuple((dim, 2 * r) for dim, r in data.h_alg.blocks)),
-            tau=tuple(np.stack([np.kron(np.eye(2), x) for x in t])
-                      for t in data.tau))
-        v_big = np.zeros((2 * n, 2 * v.shape[1]), dtype=complex)
-        pos = 0
-        for dim, r in data.h_alg.blocks:
-            for u in range(dim):
-                cols = v[:, pos + u * r:pos + (u + 1) * r]
-                start = 2 * pos + u * 2 * r
-                v_big[:n, start:start + r] = cols
-                v_big[n:, start + r:start + 2 * r] = cols
-            pos += dim * r
-        psi_big = np.zeros(2 * d.k_dim, dtype=complex)
-        psi_big[:d.k_dim] = d.psi_vector
-        enlarged = WeakTensorDilation(cpmap=sp, k_dim=2 * d.k_dim,
-                                      psi_vector=psi_big, isometry=v_big,
-                                      gns_data=big)
+        # V ⊕ V, so j is j ⊕ j
+        d = weak_tensor_dilation(dual_map(worked_ctx))
+        enlarged = doubled_dilation(d, d.isometry)
+        n = d.isometry.shape[0]
         big_ops = enlarged.j_ops
         for j, big_j in zip(d.j_ops, big_ops, strict=True):
             assert_allclose(big_j[:n, :n], j, rtol=0, atol=1e-15)
             assert_allclose(big_j[n:, n:], j, rtol=0, atol=1e-15)
             assert np.max(np.abs(big_j[:n, n:])) == 0.0
         assert verify_dilation(enlarged).max_residual <= 1e-9
-        assert not is_minimal_dilation(sp, enlarged)
+        assert not is_minimal_dilation(enlarged, d.gns_data)
+        assert not dense_is_minimal(enlarged)
+
+    # the draws among SEEDS whose H has a block with d ≥ 2
+    @pytest.mark.parametrize("seed", [0, 1, 4, 5, 6])
+    def test_rotated_copy_not_minimal(self, seed):
+        # V ⊕ V·W with W = w⊗I_r on the d leg of the largest block of H:
+        # W commutes with σ = ρ′ = I_d⊗τ, so the certificate stays at
+        # rounding level, while j₂ = V·W·ρ·W*·V* is not j
+        rng = np.random.default_rng(seed)
+        d = weak_tensor_dilation(dual_map(random_covariant_context(rng)))
+        blocks = d.gns_data.h_alg.blocks
+        i = max(range(len(blocks)), key=lambda b: blocks[b][0])
+        dim, r = blocks[i]
+        assert dim >= 2
+        w = np.linalg.qr(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))[0]
+        rotation = np.eye(d.isometry.shape[1], dtype=complex)
+        pos = sum(x * y for x, y in blocks[:i])
+        rotation[pos:pos + dim * r, pos:pos + dim * r] = np.kron(w, np.eye(r))
+        rotated = doubled_dilation(d, d.isometry @ rotation)
+        n = d.isometry.shape[0]
+        moved = max(frob(big_j[n:, n:] - j)
+                    for j, big_j in zip(d.j_ops, rotated.j_ops, strict=True))
+        assert moved >= 1e-3
+        assert verify_dilation(rotated).max_residual <= 1e-9
+        assert not is_minimal_dilation(rotated, d.gns_data)
+        assert not dense_is_minimal(rotated)
 
     def test_recovered_dilations_minimal(self, rng):
         for _ in range(3):
@@ -372,7 +405,38 @@ class TestMinimality:
             ext = extend_cp_map(ctx)
             sp = dual_map(ctx)
             d = dilation_from_extension(ctx, ext.cpmap, s_prime=sp)
-            assert is_minimal_dilation(sp, d)
+            assert is_minimal_dilation(d, gns(sp))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_dense_oracle(self, seed):
+        # the rank against gns(S′).module_dim decides as the two-rank span
+        # check does, on the constructed and on the recovered dilation
+        ctx = random_covariant_context(np.random.default_rng(seed))
+        sp = dual_map(ctx)
+        d = weak_tensor_dilation(sp)
+        ext = extension_from_dilation(ctx, d)
+        recovered = dilation_from_extension(ctx, ext.cpmap, s_prime=sp)
+        for dilation in (d, recovered):
+            assert is_minimal_dilation(dilation, d.gns_data) \
+                == dense_is_minimal(dilation)
+
+    def test_recovered_check_stays_under_five_megabytes(self):
+        # H = L·F = 150, L = 25, F = 6 and n_{A′} = 6: the stack of the
+        # V_l*·a′ takes 2.2 MB, and the two span matrices took 9 MB
+        ctx = random_covariant_context(np.random.default_rng(1), 32)
+        sp = dual_map(ctx)
+        d = weak_tensor_dilation(sp)
+        recovered = dilation_from_extension(ctx, extend_cp_map(ctx).cpmap,
+                                            s_prime=sp)
+        tracemalloc.start()
+        try:
+            minimal = is_minimal_dilation(recovered, d.gns_data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert minimal
+        assert peak < 5e6
 
 
 class TestRoundTrips:
@@ -392,7 +456,7 @@ class TestRoundTrips:
             ctx = random_covariant_context(rng, 5)
             sp = dual_map(ctx)
             d = weak_tensor_dilation(sp)
-            assert is_minimal_dilation(sp, d)
+            assert is_minimal_dilation(d, d.gns_data)
             ext = extension_from_dilation(ctx, d)
             d2 = dilation_from_extension(ctx, ext.cpmap, s_prime=sp)
             # induced invariants agree: S' reproduced, L dims match

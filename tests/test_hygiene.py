@@ -66,6 +66,27 @@ def unread_methods(sources: dict, readers=()) -> list:
                       for n in ast.walk(node)))
 
 
+def unread_fields(sources: dict, readers=()) -> list:
+    """Fields of the dataclasses of the ``sources`` (module name → text)
+    that no source and no text of ``readers`` reads as an attribute; a
+    field that is only ever passed to the constructor is unread."""
+    defined = [(module, cls.name, node)
+               for module, source in sources.items()
+               for cls in ast.walk(ast.parse(source))
+               if isinstance(cls, ast.ClassDef) and any(
+                   getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+               for node in cls.body
+               if isinstance(node, ast.AnnAssign)
+               and isinstance(node.target, ast.Name)]
+    read = {node.attr for text in [*sources.values(), *readers]
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)}
+    return sorted(f"{module}:{cls}.{node.target.id} (line {node.lineno})"
+                  for module, cls, node in defined
+                  if node.target.id not in read)
+
+
 def bench_sources() -> list:
     """The benchmark's modules, its tests aside."""
     return [p.read_text(encoding="utf-8")
@@ -131,6 +152,29 @@ def test_every_method_and_property_is_read():
     # a method that only tests read belongs in the tests; bench/ counts as
     # a reader, since the benchmark runs on the package's own names
     assert unread_methods(package_sources(), bench_sources()) == []
+
+
+def test_detects_an_unread_field():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n\n"
+             "@dataclass(frozen=True)\nclass C:\n    kept: int\n"
+             "    unread: int\n    benched: int = 0\n\n\n"
+             "@dataclass\nclass D:\n    passed: int\n\n\n"
+             "class E:\n    annotated: int\n",
+        "b": "import a\nx = a.C(kept=1, unread=2)\nprint(x.kept)\n"
+             "a.D(passed=x.kept)\n",
+    }
+    assert unread_fields(sources) == ["a:C.benched (line 8)",
+                                      "a:C.unread (line 7)",
+                                      "a:D.passed (line 13)"]
+    assert unread_fields(sources, ["y.benched\n"]) == [
+        "a:C.unread (line 7)", "a:D.passed (line 13)"]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is state the program carries for nobody;
+    # bench/ counts as a reader, as for methods
+    assert unread_fields(package_sources(), bench_sources()) == []
 
 
 def test_detects_an_unread_private_function():

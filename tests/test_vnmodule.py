@@ -457,26 +457,30 @@ class TestEmbedding:
             b_alg = random_standard_algebra(rng, 4)
             s = random_unital_cp_map(rng, a_alg, b_alg)
             data = gns(s)
-            emb = embed_qons(data, qons(data))
-            u = emb.u
+            system = qons(data)
+            u = embed_qons(data, system).u
             assert np.linalg.norm(u.conj().T @ u - np.eye(data.h_dim)) <= 1e-10
             # u·u* is the diagonal projection Σ_i p_i ⊗ |k_i⟩⟨k_i|
             p_i = np.zeros_like(u @ u.conj().T)
             g = b_alg.ambient_dim
-            for k, p in enumerate(emb.system.projections):
+            for k, p in enumerate(system.projections):
                 p_i[k * g:(k + 1) * g, k * g:(k + 1) * g] = represent(p)
             assert np.linalg.norm(u @ u.conj().T - p_i) <= 1e-10
 
     def test_coefficients_land_in_corners(self, worked_gns, worked_map):
-        emb = embed_qons(worked_gns, qons(worked_gns, worked_seed(worked_gns, worked_map)))
+        system = qons(worked_gns, worked_seed(worked_gns, worked_map))
+        u = embed_qons(worked_gns, system).u
         a = element(worked_map.source, [np.array([[0.3]]), np.array([[-1.1]])])
+        j_a = (u @ worked_gns.rho(a) @ u.conj().T).reshape(3, 2, 3, 2)
         for j in range(3):
             for i in range(3):
-                # the matrix coefficient ⟨e_j, a·e_i⟩ ∈ p_j B p_i
-                c = inner_product(worked_gns, emb.system.elements[j],
-                                  worked_gns.rho(a) @ emb.system.elements[i])
-                pj = emb.system.projections[j]
-                pi = emb.system.projections[i]
+                # the matrix coefficient ⟨e_j, a·e_i⟩ ∈ p_j B p_i, which is
+                # the K-block (j, i) of u·ρ(a)·u*
+                c = inner_product(worked_gns, system.elements[j],
+                                  worked_gns.rho(a) @ system.elements[i])
+                assert_allclose(j_a[j, :, i], represent(c), atol=1e-12)
+                pj = system.projections[j]
+                pi = system.projections[i]
                 sandwiched = pj @ c @ pi
                 assert (sandwiched - c).norm() <= 1e-11
 
@@ -519,7 +523,6 @@ class TestIsotypicQons:
         system = qons(data)
         assert len(system) == minimal_k(data)
         assert intertwining_residual(data, system.elements) <= 1e-12
-        assert system.intertwining_residual <= 1e-12
         assert system.relation_residual <= 1e-12
         # ξ*ξ = S(1): the sampler's unitality error, near 1e-12 when S(1)
         # was badly conditioned before normalization, enters Σ e·e* = 1
@@ -555,10 +558,14 @@ class TestIsotypicQons:
         self.spy_on_completion(monkeypatch, calls)
         d, _ = nonunital_recovery(s)
         assert calls == [1]
-        assert (d.system.projections[0] - proj).norm() <= 1e-12
+        # the system's elements e_k are the adjoints of the K-blocks of V,
+        # so p₀ = e₀*·e₀ is the first diagonal block of V·V*
+        elements = d.isometry.reshape(d.k_dim, 2, -1).conj().transpose(0, 2, 1)
+        assert np.linalg.norm(elements[0].conj().T @ elements[0]
+                              - represent(proj)) <= 1e-12
         (mu, dim), = isotypic_multiplicities(d.gns_data)
         assert d.k_dim == 1 + -(-(mu - 1) // dim)
-        assert d.system.intertwining_residual <= 1e-12
+        assert intertwining_residual(d.gns_data, elements) <= 1e-12
         assert d.certificate.max_residual <= 1e-12
 
     def test_partial_caller_seed_completes_the_same_way(self, worked_gns,
