@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .algebra import (AlgebraElement, adjoint_permutation, basis_action,
-                      commutant, represent)
+from .algebra import AlgebraElement, represent
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
 from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob_each
-from .vnmodule import (CHUNK_ENTRIES, GNSData, QONS, embed_qons, gns,
-                       polar_decompose_module, qons)
+from .vnmodule import (GNSData, QONS, embed_qons, gns, isometry_defect,
+                       membership_residual, polar_decompose_module, qons)
 
 VERIFY_TOL = RESIDUAL_FLOOR
 
@@ -57,7 +56,9 @@ class DilationCertificate:
       ρ when π = ρ′.  Every K-block of every j(x) is then within
       (Σ_b m_b)·M·T·(M + 2)·membership of B, m_b the block dims of the
       commutant.  For a full target the commutant is ℂ·1, membership is
-      vacuous and reads 0.
+      vacuous and reads 0.  When π = ρ the blocks V_k are the adjoints
+      of the QONS elements e_k, and membership is the only check that ξ
+      and the elements ``qons`` completes intertwine, ρ′(c)·e_k = e_k·c.
     - ``expectation``: the largest ‖W·π(x)·W* − S(x)‖ with
       W = (ψ*⊗I_G)·V, sandwiched by |ξ| in the non-unital case; it equals
       (id⊗ψ)(j(x)) − S(x).
@@ -126,8 +127,9 @@ class WeakTensorDilation:
         """j(x_a)·w = V·π(x_a)·(V*·w) for every source coordinate basis
         element x_a: (n_A, K·G) for a vector w, (n_A, K·G, q) for an
         operator w of shape (K·G, q)."""
-        v = self.isometry
-        moved = _basis_action(self, v.conj().T @ w)
+        data, v = self.gns_data, self.isometry
+        pi = data.rho_prime_basis_action if self.lifted else data.rho_basis_action
+        moved = pi(v.conj().T @ w)
         return moved @ v.T if moved.ndim == 2 else v @ moved
 
 
@@ -138,23 +140,10 @@ def _pi_conjugation(d: WeakTensorDilation, u) -> np.ndarray:
     return d.gns_data.rho_basis_conjugation(u)
 
 
-def _basis_action(d: WeakTensorDilation, w, coords=None,
-                  sigma=False) -> np.ndarray:
-    """π(x_a)·w over the source coordinate basis, or σ(c)·w over the
-    coordinate basis of the target's commutant with ``sigma``: ρ′ of the
-    GNS data for one of them, ρ for the other.  ``coords`` picks elements
-    of the basis."""
-    if d.lifted != sigma:
-        return d.gns_data.rho_prime_basis_action(w, coords)
-    return d.gns_data.rho_basis_action(w, coords)
-
-
 def _gram_block_maximum(d: WeakTensorDilation) -> float:
     """ε_D: the largest Frobenius norm of a block of V*V − I_H between two
     row blocks (r_i rows each) of H."""
-    v = d.isometry
-    defect = v.conj().T @ v
-    defect[np.diag_indices_from(defect)] -= 1.0
+    defect = isometry_defect(d.isometry)
     starts, pos = [], 0
     for dim, r in d.gns_data.h_alg.blocks:
         if r:
@@ -164,33 +153,6 @@ def _gram_block_maximum(d: WeakTensorDilation) -> float:
     sums = np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts,
                            axis=1)
     return float(np.sqrt(np.max(sums)))
-
-
-def _membership_residual(d: WeakTensorDilation, sigma_star: float) -> float:
-    """``DilationCertificate.membership``, for σ with star residual
-    ``sigma_star``.  The commutant's basis is taken in chunks of
-    ``CHUNK_ENTRIES`` entries of (c⊗I_K)·V, at least one element each."""
-    target = d.cpmap.target
-    if target.is_full():
-        return 0.0
-    comm = commutant(target)
-    v = d.isometry
-    k, g, h = d.k_dim, target.ambient_dim, v.shape[1]
-    # V on the g leg with columns (k, h), which (c⊗I_K) moves, and V*
-    rows = v.reshape(k, g, h).transpose(1, 0, 2).reshape(g, -1)
-    v_star = v.conj().T
-    perm = adjoint_permutation(comm)
-    step = max(1, CHUNK_ENTRIES // v.size)
-    worst = sigma_star
-    for lo in range(0, comm.coord_dim, step):
-        chunk = slice(lo, lo + step)
-        # (c⊗I_K)·V as (L, G, K, H), minus V·σ(c) = (σ(c*)·V*)* alike
-        moved = basis_action(comm, rows, chunk).reshape(-1, g, k, h)
-        sigma = _basis_action(d, v_star, perm[chunk], sigma=True)
-        moved -= sigma.conj().reshape(-1, h, k, g).transpose(0, 3, 2, 1)
-        sq = np.sum(moved.real ** 2 + moved.imag ** 2, axis=(1, 3))
-        worst = max(worst, float(np.sqrt(np.max(sq))))
-    return worst
 
 
 def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
@@ -207,11 +169,15 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
     """
     target = d.cpmap.target
     # ρ is exact; ρ′ is π when lifted, and σ otherwise
+    data = d.gns_data
     pi_rel = pi_star = pi_unit = sigma_star = 0.0
     if d.lifted:
-        pi_rel, pi_star, pi_unit = d.gns_data.rho_prime_residuals()
-    elif not target.is_full():
-        sigma_star = d.gns_data.rho_prime_star_residual()
+        pi_rel, pi_star, pi_unit = data.rho_prime_residuals()
+        sigma = data.rho_basis_action
+    else:
+        sigma = data.rho_prime_basis_action
+        if not target.is_full():
+            sigma_star = data.rho_prime_star_residual()
     gram = _gram_block_maximum(d)
 
     w = np.tensordot(np.conj(d.psi_vector),
@@ -226,7 +192,8 @@ def verify_dilation(d: WeakTensorDilation) -> DilationCertificate:
 
     return DilationCertificate(
         homomorphism=max(gram, pi_rel), star=pi_star,
-        membership=_membership_residual(d, sigma_star),
+        membership=max(sigma_star,
+                       membership_residual(target, d.isometry, sigma)),
         expectation=expectation, unit_projection=max(gram, pi_unit))
 
 

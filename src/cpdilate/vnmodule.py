@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra as alg_mod
 from .algebra import (AlgebraElement, MatrixBlockAlgebra, commutant,
-                      coordinate_basis_stack, coordinates, represent)
+                      coordinates, represent)
 from .cpmap import CPMap, stinespring_blocks
 from .errors import (BadSeed, DimensionCap, IncompleteQONS, NotCP,
                      NotInAlgebra, NotInTargetAlgebra)
@@ -363,7 +363,8 @@ class QONS:
     """Quasi-orthonormal system: elements e_i (operators G → H) with
     projections p_i = ⟨e_i, e_i⟩ in B.  The residuals are those of the
     relations e_i*·e_j = δ_ij·p_i and of the completeness Σ e_i e_i* = 1;
-    ``qons`` raises when an element does not intertwine, ρ'(c)·e_i ≠ e_i·c."""
+    ``qons`` raises when a caller's seed element does not intertwine,
+    ρ'(c)·e_i ≠ e_i·c, and ``verify_dilation`` checks the other elements."""
 
     elements: tuple
     projections: tuple
@@ -374,31 +375,53 @@ class QONS:
         return len(self.elements)
 
 
-def _qons_relation_residual(elements, projections) -> float:
-    """max over all pairs of ‖e_i*·e_j − δ_ij·p_i‖."""
-    if not elements:
-        return 0.0
-    e = np.stack(elements)
-    prods = np.einsum("ihg,jhf->ijgf", e.conj(), e, optimize=True)
-    k = len(elements)
-    alg = projections[0].algebra
-    p = alg_mod.element_from_coordinates(
-        alg, np.stack([coordinates(x) for x in projections]))
-    prods[np.arange(k), np.arange(k)] -= represent(p)
-    return float(np.max(frob_each(prods)))
+def isometry_defect(v) -> np.ndarray:
+    """V*V − I for an operator V with H columns; for V = [e₀*; e₁*; …]
+    it is Σ e_i·e_i* − I."""
+    defect = v.conj().T @ v
+    defect[np.diag_indices_from(defect)] -= 1.0
+    return defect
 
 
-def _intertwining_residual(data: GNSData, elements) -> float:
-    """max over elements e and commutant basis elements c of ‖ρ'(c)·e − e·c‖;
-    zero exactly on the module C_{B'}(B(G, H))."""
-    if not len(elements):
+def membership_residual(target: MatrixBlockAlgebra, v, sigma_action) -> float:
+    """max ‖c·V_k − V_k·σ(c)‖ over the coordinate basis c of the commutant
+    of ``target`` and the row blocks V_k (G×H) of v (K leg slowest), with
+    V_k·σ(c) formed as (σ(c*)·V_k*)*; ``sigma_action(w, coords)`` is
+    σ(x_c)·w over the basis elements ``coords``.  c ↦ c* permutes the
+    basis, so for V = [e₀*; e₁*; …] and σ = ρ' it is the largest
+    ‖ρ'(c)·e_i − e_i·c‖, zero exactly on the module.  A full target has
+    commutant ℂ·1 and reads 0.  The basis is taken in chunks of
+    ``CHUNK_ENTRIES`` entries of (c⊗I_K)·V, at least one element each."""
+    if target.is_full() or not v.size:
         return 0.0
-    e = np.stack(elements)
-    comm = represent(coordinate_basis_stack(commutant(data.target)))
-    return float(max(
-        np.max(frob_each(_apply_block_diagonal(data, [t[k] for t in data.tau], e)
-                         - e @ c))
-        for k, c in enumerate(comm)))
+    comm = commutant(target)
+    g, h = target.ambient_dim, v.shape[1]
+    k = v.shape[0] // g
+    # V on the g leg with columns (k, h), which (c⊗I_K) moves, and V*
+    rows = v.reshape(k, g, h).transpose(1, 0, 2).reshape(g, -1)
+    v_star = v.conj().T
+    perm = alg_mod.adjoint_permutation(comm)
+    step = max(1, CHUNK_ENTRIES // v.size)
+    worst = 0.0
+    for lo in range(0, comm.coord_dim, step):
+        chunk = slice(lo, lo + step)
+        # (c⊗I_K)·V as (L, G, K, H), minus V·σ(c) = (σ(c*)·V*)* alike
+        moved = alg_mod.basis_action(comm, rows, chunk).reshape(-1, g, k, h)
+        sigma = sigma_action(v_star, perm[chunk])
+        moved -= sigma.conj().reshape(-1, h, k, g).transpose(0, 3, 2, 1)
+        sq = np.sum(moved.real ** 2 + moved.imag ** 2, axis=(1, 3))
+        worst = max(worst, float(np.sqrt(np.max(sq))))
+    return worst
+
+
+def _qons_relation_residual(v, projections) -> float:
+    """max over all pairs of ‖e_i*·e_j − δ_ij·p_i‖, the G×G blocks (i, j)
+    of V·V* for V = [e₀*; e₁*; …]."""
+    k, p = len(projections), represent(alg_mod.element_from_coordinates(
+        projections[0].algebra, np.stack([coordinates(x) for x in projections])))
+    blocks = (v @ v.conj().T).reshape(k, p.shape[1], k, p.shape[2])
+    blocks[np.arange(k), :, np.arange(k)] -= p
+    return float(np.max(frob_each(blocks.transpose(0, 2, 1, 3))))
 
 
 def _isotypic_completion(data: GNSData, elements, projections):
@@ -483,17 +506,26 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     """Complete quasi-orthonormal system for the module, extending a seed.
 
     With no seed and a unital map the cyclic vector ξ is the first element
-    (p₀ = 1).  A seed is validated (in the module, projections, mutually
-    orthogonal, intertwining B') and completed in closed form by
-    ``_isotypic_completion``; with the seed ξ the system has the minimal
-    size K = maxᵢ ⌈μᵢ/dᵢ⌉.  Every new element is checked to intertwine B'.
+    (p₀ = 1).  A seed is validated (shape (H, G), finite, in the module,
+    projections, mutually orthogonal, intertwining B') and completed in
+    closed form by ``_isotypic_completion``; with the seed ξ the system
+    has the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉.  Completeness and relations
+    are read off V = [e₀*; e₁*; …].  The default seed ξ and the new
+    elements are not checked to intertwine B' here: ``verify_dilation``'s
+    membership checks them in every dilation, and a caller of ``qons``
+    alone has no such check.
     """
     elements, projections = [], []
     limit = floored(tol, RESIDUAL_FLOOR)
+    shape = (data.h_dim, data.target.ambient_dim)
+    from_caller = seed is not None
     if seed is None:
         seed = [data.xi] if data.cpmap.is_unital else []
     for raw in seed:
         e = as_complex(raw)
+        if e.shape != shape or not np.all(np.isfinite(e)):
+            raise BadSeed(f"seed element is not a finite {shape[0]}x{shape[1]} "
+                          f"matrix (shape {e.shape})")
         try:
             t = inner_product(data, e, e, tol)
         except NotInTargetAlgebra as exc:
@@ -509,28 +541,24 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
                 raise BadSeed(f"seed elements are not orthogonal (residual {cross:.3e})")
         elements.append(e)
         projections.append(t)
-    seed_intertwining = _intertwining_residual(data, elements)
+    v = np.vstack([np.zeros((0, data.h_dim))] + [e.conj().T for e in elements])
+    seed_intertwining = membership_residual(
+        data.target, v, data.rho_prime_basis_action) if from_caller else 0.0
     if seed_intertwining > limit:
         raise BadSeed("seed element does not intertwine B' "
                       f"(residual {seed_intertwining:.3e})")
 
     new, new_projections = _isotypic_completion(data, elements, projections)
-    intertwining = _intertwining_residual(data, new)
-    if intertwining > limit:
-        raise ArithmeticError("completion does not intertwine B' "
-                              f"(residual {intertwining:.3e})")
     elements += new
     projections += new_projections
-
-    p_total = sum(e @ e.conj().T for e in elements) if elements \
-        else np.zeros((data.h_dim, data.h_dim), dtype=np.complex128)
-    completeness = frob(p_total - np.eye(data.h_dim))
+    v = np.vstack([v] + [e.conj().T for e in new])
+    completeness = frob(isometry_defect(v))
     if completeness > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS(
             f"system does not sum to the identity (residual {completeness:.3e})")
-    relation = _qons_relation_residual(elements, projections)
     return QONS(elements=tuple(elements), projections=tuple(projections),
-                relation_residual=relation, completeness_residual=completeness)
+                relation_residual=_qons_relation_residual(v, projections),
+                completeness_residual=completeness)
 
 
 @dataclass(frozen=True)

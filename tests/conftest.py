@@ -2,6 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cpdilate import algebra, make_algebra, make_cpmap
 from cpdilate.algebra import (coordinate_basis_stack, coordinates, identity,
@@ -12,6 +13,12 @@ from cpdilate.errors import InconsistentSystem
 from cpdilate.numerics import (DEFAULT_TOL, _check_finite, as_complex, frob,
                                frob_each, matrix_rank)
 from cpdilate.sampling import random_unit_vector
+
+# One profile for every property: no deadline, since a draw's linear
+# algebra varies in time with its dimensions, and derandomized examples,
+# so each run draws the same ones.  Each test keeps its own max_examples.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

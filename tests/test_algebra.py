@@ -300,7 +300,7 @@ def _complex(rng, shape):
 
 
 class TestBatchedKernels:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(BLOCKS, st.booleans(), BATCH, st.integers(0, 2**32 - 1))
     def test_represent_equals_per_matrix_loop(self, blocks, flipped, batch, seed):
         alg = _algebra(blocks, flipped)
@@ -313,7 +313,7 @@ class TestBatchedKernels:
         assert_allclose(coordinates(element_from_coordinates(alg, coords)),
                         coords, rtol=0, atol=0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(BLOCKS, st.booleans(), BATCH, st.integers(0, 2**32 - 1))
     def test_projection_equals_per_matrix_loop(self, blocks, flipped, batch, seed):
         alg = _algebra(blocks, flipped)
@@ -333,7 +333,7 @@ class TestBatchedKernels:
             assert isinstance(single_residual, float)
             assert abs(single_residual - ref_residual) <= 1e-13
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(BLOCKS, st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_basis_sandwich_equals_dense_basis_contraction(self, blocks, flipped,
                                                            a_dim, seed):
@@ -346,7 +346,7 @@ class TestBatchedKernels:
                         np.einsum("pag,cgf,afq->cpq", left, reps, right),
                         rtol=0, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(BLOCKS, st.booleans(), st.integers(0, 2**32 - 1))
     def test_basis_action_equals_per_matrix_loop(self, blocks, flipped, seed):
         alg = _algebra(blocks, flipped)
@@ -356,7 +356,7 @@ class TestBatchedKernels:
             assert_allclose(rows[c], loop_represent(alg, coords) @ v,
                             rtol=0, atol=1e-13)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(BLOCKS, st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
     def test_basis_action_is_the_dense_basis_product(self, blocks, flipped,
                                                      q, seed):
@@ -370,7 +370,7 @@ class TestBatchedKernels:
         assert got.shape == (alg.coord_dim,) + shape
         np.testing.assert_array_equal(got, dense)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(BLOCKS, st.booleans(), st.integers(0, 2**32 - 1))
     def test_basis_action_on_chosen_elements_selects_rows(self, blocks,
                                                           flipped, seed):

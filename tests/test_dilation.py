@@ -279,7 +279,7 @@ class TestHomomorphismCertificate:
     # the oracle's products round at about 1e-16 on these draws
     ROUNDING = 4 * np.finfo(float).eps
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
            st.sampled_from([None, -6, -4, -2]))
     def test_agrees_with_the_exhaustive_oracle(self, seed, index, log_size):
@@ -377,7 +377,7 @@ class TestHomomorphismCertificate:
 
 
 class TestStarCertificate:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
            st.sampled_from([None, -9, -6, -2]))
     def test_bit_identical_to_the_dense_comparison(self, seed, index,
@@ -398,6 +398,22 @@ class TestStarCertificate:
             - np.conj(np.swapaxes(j_ops, -1, -2))
         assert dense_certificate(d, j_ops)["star"] \
             == float(np.max(frob_each(dense)))
+
+
+def random_partial_projection(rng, alg):
+    """A projection of ``alg`` that is neither 0 nor 1: on block b a
+    random subspace of ℂ^{d_b} of a random rank, redrawn until the ranks
+    are not all 0 or all full.  ``alg`` needs Σ_b d_b ≥ 2."""
+    dims = [d for d, _ in alg.blocks]
+    ranks = [0] * len(dims)
+    while not 0 < sum(ranks) < sum(dims):
+        ranks = [int(rng.integers(0, d + 1)) for d in dims]
+    blocks = []
+    for d, r in zip(dims, ranks):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q = np.linalg.qr(z)[0][:, :r]
+        blocks.append(q @ q.conj().T)
+    return element(alg, blocks)
 
 
 class TestNonunitalRecovery:
@@ -428,6 +444,32 @@ class TestNonunitalRecovery:
         d, absxi = nonunital_recovery(worked_map)
         assert (absxi - identity(worked_map.target)).norm() <= 1e-12
         assert d.certificate.max_residual <= 1e-10
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1))
+    def test_compressed_maps_against_the_oracle(self, seed):
+        # S = P·T(·)·P for a unital T and a projection P ∈ B that is neither
+        # 0 nor 1, so p₀ = supp S(1) = P is partial and the completion is
+        # checked only by verify's membership.  Over seeds 0–499 the
+        # factored certificate read at most 1.0e-14 and the dense oracle,
+        # S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ| included, 1.4e-14
+        rng = np.random.default_rng(seed)
+        source = random_standard_algebra(rng, 5)
+        target = random_standard_algebra(rng, 5)
+        while sum(d for d, _ in target.blocks) < 2:
+            target = random_standard_algebra(rng, 5)
+        t_map = random_unital_cp_map(rng, source, target)
+        proj = random_partial_projection(rng, target)
+        cols = [coordinates(proj @ apply(t_map, a) @ proj)
+                for a in coordinate_basis(source)]
+        s = make_cpmap(source, target, np.stack(cols, axis=1))
+        d, absxi = nonunital_recovery(s)
+        assert d.certificate.max_residual <= 1e-12
+        assert max(dense_certificate(d).values()) <= 1e-12
+        sand = represent(absxi)
+        for a in coordinate_basis(source):
+            got = sand @ expectation_ambient(d, d.j(a)) @ sand
+            assert frob(got - represent(apply(s, a))) <= 1e-12
 
     def test_random_nonunital(self, rng):
         for _ in range(5):
@@ -527,7 +569,7 @@ class TestFactoredCertificate:
 
     ROUNDING = 1e-13
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["constructive", "commutant", "nonunital",
                             "recovered"]),
@@ -550,7 +592,7 @@ class TestFactoredCertificate:
             assert factored["max_residual"] > VERIFY_TOL
             assert worst > VERIFY_TOL
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
     def test_nonunital_identity_against_the_oracle(self, seed):
         # S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ| on the dense matrices, and the
@@ -604,7 +646,7 @@ def test_commutant_target_dilation_stays_under_twenty_five_megabytes():
     assert peak < 25e6
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1),
        st.sampled_from(["constructive", "commutant", "recovered"]),
        st.sampled_from([None, "rotate", "tau"]))
@@ -617,7 +659,6 @@ def test_certificate_in_one_element_chunks_is_the_same(seed, kind, change):
         assume(d is not None)
     whole = verify_dilation(d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dilation, "CHUNK_ENTRIES", 1)
         mp.setattr(vnmodule, "CHUNK_ENTRIES", 1)
         chunked = verify_dilation(d)
     assert chunked == whole

@@ -13,7 +13,7 @@ from conftest import (canonical_phases_loop, null_space, random_hermitian,
 
 
 class TestHermitianEig:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_canonical_phases_are_bit_identical_to_the_column_loop(self, seed):
         # eigenvectors of generic and of degenerate spectra, with zero
@@ -70,7 +70,7 @@ class TestHermitianEig:
         with pytest.raises(NonFinite):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     def test_recovers_prescribed_spectrum(self, diag):
         values = np.sort(np.array(diag))[::-1]

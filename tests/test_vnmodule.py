@@ -15,14 +15,15 @@ from cpdilate.algebra import (commutant, coordinate_basis, coordinates,
 from cpdilate.cpmap import apply, identity_map, make_cpmap
 from cpdilate.dilation import nonunital_recovery, weak_tensor_dilation
 from cpdilate.duality import dual_map
-from cpdilate.errors import BadSeed, DimensionCap, NotCP, NotInTargetAlgebra
+from cpdilate.errors import (BadSeed, DimensionCap, IncompleteQONS, NotCP,
+                             NotInTargetAlgebra)
 from cpdilate.numerics import DEFAULT_TOL, hermitian_eig, matrix_rank
 from cpdilate.sampling import (random_covariant_context,
                                random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import (embed_qons, gns, inner_product,
                                module_element, polar_decompose_module, qons)
 
-from conftest import (dense_rho_ops, dense_rho_prime_ops,
+from conftest import (dense_certificate, dense_rho_ops, dense_rho_prime_ops,
                       gram_schmidt_module_basis, intertwiner_space,
                       structure_constants)
 
@@ -416,16 +417,24 @@ class TestQons:
                          for p in system.projections)
         assert total_rank == worked_gns.h_dim
 
-    def test_relation_residual_is_the_pairwise_maximum(self, rng):
-        s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
-                                 make_algebra([(1, 2), (1, 1)]))
-        system = qons(gns(s))
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.one_of(st.none(), st.integers(0, 4)))
+    def test_relation_residual_is_the_pairwise_maximum(self, seed, kept):
+        # unseeded, or seeded by the caller with the first ``kept``
+        # elements of the unseeded system (none for 0), on multi-block
+        # algebras with multiplicities
+        rng = np.random.default_rng(seed)
+        s = random_unital_cp_map(rng, random_standard_algebra(rng, 6),
+                                 random_standard_algebra(rng, 6))
+        data = gns(s)
+        system = qons(data)
+        if kept is not None:
+            system = qons(data, system.elements[:kept])
         worst = 0.0
         for i, ei in enumerate(system.elements):
             for j, ej in enumerate(system.elements):
                 expect = represent(system.projections[i]) if i == j else 0.0
                 worst = max(worst, np.linalg.norm(ei.conj().T @ ej - expect))
-        assert len(system) > 1
         assert abs(system.relation_residual - worst) <= 1e-12
 
     def test_bad_seed_rejected(self, worked_gns):
@@ -435,6 +444,25 @@ class TestQons:
     def test_seed_orthogonality_enforced(self, worked_gns):
         with pytest.raises(BadSeed):
             qons(worked_gns, [worked_gns.xi, worked_gns.xi])
+
+    @pytest.mark.parametrize("change", ["nan", "inf", "extra row",
+                                        "missing column"])
+    def test_malformed_seed_rejected_before_any_product(self, worked_gns,
+                                                        change, monkeypatch):
+        # a NaN passes every residual check (NaN > limit is False), and a
+        # wrong shape fails inside a product; both are refused up front
+        xi = worked_gns.xi
+        bad = {"nan": np.where(np.eye(*xi.shape, dtype=bool), np.nan, xi),
+               "inf": np.where(np.eye(*xi.shape, dtype=bool), np.inf, xi),
+               "extra row": np.vstack([xi, np.zeros((1, xi.shape[1]))]),
+               "missing column": xi[:, 1:]}[change]
+
+        def no_product(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(vnmodule, "inner_product", no_product)
+        with pytest.raises(BadSeed, match="finite"):
+            qons(worked_gns, [bad])
 
 
 class TestEmbedding:
@@ -513,7 +541,7 @@ class TestIsotypicQons:
     """The closed-form completion: minimal K, intertwining elements, one
     path for every seed, no module basis."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_unseeded_system_is_minimal_and_certified(self, seed):
         rng = np.random.default_rng(seed)
@@ -629,20 +657,47 @@ class TestIsotypicQons:
         assert calls == [data]
         assert basis.shape[0] == data.module_dim
 
+    @staticmethod
+    def moved_completion(monkeypatch, move):
+        real = vnmodule._isotypic_completion
+
+        def moved(data, elements, projections):
+            new, new_projections = real(data, elements, projections)
+            new[0] = move(new[0])
+            return new, new_projections
+
+        monkeypatch.setattr(vnmodule, "_isotypic_completion", moved)
+
     def test_element_off_the_intertwiners_raises(self, rng, monkeypatch):
+        # a completion element moved at random by 1e-6 leaves the module
+        # and breaks Σ e·e* = 1, which qons checks on V*V
         s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
                                  make_algebra([(1, 2)]))
         data = gns(s)
-        real = vnmodule._isotypic_completion
-
-        def perturbed(data, elements, projections):
-            new, new_projections = real(data, elements, projections)
-            new[0] = new[0] + 1e-6 * rng.standard_normal(new[0].shape)
-            return new, new_projections
-
-        monkeypatch.setattr(vnmodule, "_isotypic_completion", perturbed)
-        with pytest.raises(ArithmeticError, match="does not intertwine"):
+        self.moved_completion(
+            monkeypatch, lambda e: e + 1e-6 * rng.standard_normal(e.shape))
+        with pytest.raises(IncompleteQONS):
             qons(data)
+
+    def test_completion_off_the_intertwiners_fails_membership(self, rng,
+                                                              monkeypatch):
+        # e·u for the swap u ∈ B' = M2 keeps Σ e·e* = 1 and e*·e = p, so
+        # qons accepts it, but ρ'(c)·e·u − e·u·c = e·(c·u − u·c) ≠ 0: the
+        # dilation's membership, the only check of the completion, and the
+        # dense oracle both flag it
+        s = random_unital_cp_map(rng, make_algebra([(2, 1)]),
+                                 make_algebra([(1, 2)]))
+        data = gns(s)
+        swap = represent(element(commutant(s.target),
+                                 [np.array([[0.0, 1.0], [1.0, 0.0]])]))
+        self.moved_completion(monkeypatch, lambda e: e @ swap)
+        system = qons(data)
+        assert system.completeness_residual <= 1e-12
+        assert system.relation_residual <= 1e-12
+        assert intertwining_residual(data, system.elements[1:2]) >= 1e-3
+        d = weak_tensor_dilation(s, data=data)
+        assert d.certificate.membership >= 1e-3
+        assert dense_certificate(d)["membership"] >= 1e-3
 
     def test_seed_off_the_intertwiners_is_rejected(self, rng):
         # ξ·u for a unitary u ∈ B' = M2 that is not central: ⟨ξu, ξu⟩ = 1 is
@@ -656,11 +711,45 @@ class TestIsotypicQons:
             qons(data, [data.xi @ swap])
 
 
+    @settings(max_examples=30)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_seed_check_equals_the_dense_oracle(self, seed):
+        # membership_residual on V = [e₀*; e₁*; …] with σ = ρ' is the
+        # largest ‖ρ'(c)·e − e·c‖ of the dense oracle: rounding on a
+        # system's elements, and large on ξ·u for a unitary u ∈ B' that
+        # is not central
+        rng = np.random.default_rng(seed)
+        s = random_unital_cp_map(rng, random_standard_algebra(rng, 6),
+                                 random_standard_algebra(rng, 6))
+        data = gns(s)
+        comm = commutant(s.target)
+        unitary = represent(element(comm, [
+            np.linalg.qr(rng.standard_normal((m, m))
+                         + 1j * rng.standard_normal((m, m)))[0]
+            for m, _ in comm.blocks]))
+
+        def residual(elements):
+            v = np.vstack([e.conj().T for e in elements])
+            return vnmodule.membership_residual(s.target, v,
+                                                data.rho_prime_basis_action)
+
+        elements = qons(data).elements
+        assert residual(elements) <= 1e-12
+        assert intertwining_residual(data, elements) <= 1e-12
+        moved = data.xi @ unitary
+        assert abs(residual([moved])
+                   - intertwining_residual(data, [moved])) <= 1e-12
+        if max(m for m, _ in comm.blocks) >= 2:
+            assert residual([moved]) >= 1e-3
+            with pytest.raises(BadSeed, match="does not intertwine"):
+                qons(data, [moved])
+
+
 class TestClosedFormModule:
     """``module_dim`` = Σ d·μ from the ρ' traces, and the lazy closed-form
     basis, against the Gram–Schmidt oracle of the module span."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_basis_matches_the_gram_schmidt_span(self, seed):
         rng = np.random.default_rng(seed)
@@ -716,7 +805,7 @@ class TestFactoredRepresentations:
     """ρ and ρ' are stored as h_alg and the τ_i; the accessors, the batched
     products and the frames agree with the dense stacks of the oracle."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_rho_and_block_copies_equal_the_dense_stacks(self, seed,
                                                          flip_target):
@@ -727,7 +816,7 @@ class TestFactoredRepresentations:
             np.testing.assert_array_equal(
                 vnmodule._block_diagonal(data, [t[off] for t in data.tau]), op)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_products_equal_their_dense_forms(self, seed, flip_target):
         data, rng = factored_draw(seed, flip_target)
@@ -747,7 +836,7 @@ class TestFactoredRepresentations:
         comp = x.conj().T @ rho_prime @ x
         assert np.max(np.abs(data.rho_prime_compression(x) - comp)) <= bound
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_first_frame_is_exactly_the_dense_svd(self, seed, flip_target):
         # Exact equality of every entry.  The kron's off-diagonal blocks hold
