@@ -9,6 +9,7 @@ so commutants are closed-form and the double commutant is bit-identical to
 the original.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,22 @@ from .numerics import (DEFAULT_TOL, IDENTITY_FLOOR, RESIDUAL_FLOOR, as_complex,
                        frob, frob_each, matrix_rank)
 
 AMBIENT_CAP = 64
+# algebras whose index tables are kept, the most recently used ones
+TABLE_CACHE_SIZE = 64
+
+
+def _per_algebra(build):
+    """Cache the tables that ``build`` makes from an algebra's block shape:
+    built on first use, read-only, kept for the ``TABLE_CACHE_SIZE`` most
+    recently used algebras."""
+    @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+    @functools.wraps(build)
+    def cached(alg):
+        tables = build(alg)
+        for table in tables if isinstance(tables, tuple) else (tables,):
+            table.flags.writeable = False
+        return tables
+    return cached
 
 
 @dataclass(frozen=True)
@@ -33,11 +50,11 @@ class MatrixBlockAlgebra:
     blocks: tuple
     flipped: bool = False
 
-    @property
+    @functools.cached_property
     def ambient_dim(self) -> int:
         return sum(d * m for d, m in self.blocks)
 
-    @property
+    @functools.cached_property
     def coord_dim(self) -> int:
         return sum(d * d for d, _ in self.blocks)
 
@@ -74,8 +91,10 @@ def make_algebra(blocks, ambient_cap: int = AMBIENT_CAP) -> MatrixBlockAlgebra:
     return alg
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def commutant(alg: MatrixBlockAlgebra) -> MatrixBlockAlgebra:
-    """Commutant on the same ambient space: block list [(m_i, d_i)], legs swapped."""
+    """Commutant on the same ambient space: block list [(m_i, d_i)], legs
+    swapped.  One instance per algebra is kept, with its cached sizes."""
     return MatrixBlockAlgebra(blocks=tuple((m, d) for d, m in alg.blocks),
                               flipped=not alg.flipped)
 
@@ -146,20 +165,19 @@ def represent(x: AlgebraElement) -> np.ndarray:
     Block matrices may carry leading batch axes, (…, d_i, d_i); the result
     is then the stack (…, N, N) of their ambient matrices.  Coordinates
     (…, n) become such an element through ``element_from_coordinates``.
+    The coordinates are scattered into the N×N slots of the algebra's
+    ``_represent_slots`` table; adding 0.0 turns a zero of either sign
+    into +0.0, as a product with the identity does.
     """
     alg = x.algebra
-    batch = np.shape(x.block_matrices[0])[:-2]
-    n = alg.ambient_dim
-    out = np.zeros(batch + (n, n), dtype=np.complex128)
-    # b ⊗ I_m has rows and columns (r, s), b acting on r; I_m ⊗ b has (s, r).
-    spec = "...ru,st->...srtu" if alg.flipped else "...ru,st->...rsut"
-    pos = 0
-    for (d, m), b in zip(alg.blocks, x.block_matrices):
-        size = d * m
-        out[..., pos:pos + size, pos:pos + size] = np.einsum(
-            spec, b, np.eye(m)).reshape(batch + (size, size))
-        pos += size
-    return out
+    coords = coordinates(x)
+    batch = coords.shape[:-1]
+    slots, source = _represent_slots(alg)
+    out = np.zeros(batch + (alg.ambient_dim ** 2,), dtype=np.complex128)
+    values = coords[..., source]
+    values += 0.0
+    out[..., slots] = values
+    return out.reshape(batch + (alg.ambient_dim, alg.ambient_dim))
 
 
 def coordinates(x: AlgebraElement) -> np.ndarray:
@@ -231,41 +249,73 @@ def basis_sandwich(alg: MatrixBlockAlgebra, left, right) -> np.ndarray:
 
 def basis_action(alg: MatrixBlockAlgebra, v, coords=None) -> np.ndarray:
     """x_c·v for every coordinate basis element x_c, or for the elements
-    ``coords`` (an index array or slice) in that order: rows (n, N) for a
-    vector v, (n, N, q) for an operator v of shape (N, q).
+    ``coords`` (an index array, repeats allowed, or a slice) in that
+    order: rows (n, N) for a vector v, (n, N, q) for an operator v of
+    shape (N, q).
 
     E_st of a block moves the rows (t, e) of v to the rows (s, e), e on the
-    block's other leg, so the result is a copy of rows and no ambient
-    matrix of the basis is built.
+    block's other leg, and leaves zero rows elsewhere, so the result is one
+    gather of the rows of v, and of a zero row, through the algebra's
+    ``_action_rows`` table; no ambient matrix of the basis is built.
     """
     v = as_complex(v)
     rows = v.reshape(alg.ambient_dim, -1)
-    chosen = np.arange(alg.coord_dim)
+    table = _action_rows(alg)
     if coords is not None:
-        chosen = chosen[coords]
-    out = np.zeros((len(chosen),) + rows.shape, dtype=np.complex128)
-    pos = 0
-    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
-        legs = (m, d) if alg.flipped else (d, m)
-        at = np.flatnonzero((chosen >= off) & (chosen < off + d * d))
-        s, t = np.divmod(chosen[at] - off, d)
-        block = rows[pos:pos + d * m].reshape(legs + rows.shape[1:])
-        target = out[:, pos:pos + d * m].reshape(
-            (len(chosen),) + legs + rows.shape[1:])
-        # out[c, rows (s, e)] = v[rows (t, e)] for c = E_st
-        if alg.flipped:
-            target[at, :, s] = block[:, t].swapaxes(0, 1)
-        else:
-            target[at, s] = block[t]
-        pos += d * m
-    return out.reshape((-1,) + v.shape)
+        table = table[coords]
+    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+    return padded[table].reshape((-1,) + v.shape)
 
 
+@_per_algebra
 def adjoint_permutation(alg: MatrixBlockAlgebra) -> np.ndarray:
     """Index array p with x_{p[c]} = x_c* on the coordinate basis, since
     E_uv* = E_vu within each block."""
     return np.concatenate([off + np.arange(d * d).reshape(d, d).T.reshape(-1)
                            for off, (d, _) in zip(alg.coord_offsets(), alg.blocks)])
+
+
+@_per_algebra
+def unit_coordinates(alg: MatrixBlockAlgebra) -> np.ndarray:
+    """Coordinates of the unit: 1 on the diagonal matrix units."""
+    return coordinates(identity(alg))
+
+
+@_per_algebra
+def _represent_slots(alg: MatrixBlockAlgebra):
+    """(slots, source): the flat N×N indices of the ambient matrix of an
+    element that can be nonzero, and the coordinate that each one holds.
+    E_ru ⊗ I_m puts coordinate (r, u) of a block at the row (r, s) and
+    the column (u, s) for every s < m, or at (s, r) and (s, u) when the
+    algebra is flipped."""
+    n = alg.ambient_dim
+    slots, source, pos = [], [], 0
+    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
+        r, u, s = np.indices((d, d, m)).reshape(3, -1)
+        row, col = ((s * d + r, s * d + u) if alg.flipped
+                    else (r * m + s, u * m + s))
+        slots.append((pos + row) * n + pos + col)
+        source.append(off + r * d + u)
+        pos += d * m
+    return np.concatenate(slots), np.concatenate(source)
+
+
+@_per_algebra
+def _action_rows(alg: MatrixBlockAlgebra) -> np.ndarray:
+    """(n, N) table of ``basis_action``: entry [c, i] is the row of v that
+    x_c moves to row i, or N, a zero row, when row i of x_c·v is zero.
+    E_st moves the row (t, e) to (s, e), or (e, t) to (e, s) when the
+    algebra is flipped."""
+    n = alg.ambient_dim
+    table = np.full((alg.coord_dim, n), n)
+    pos = 0
+    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
+        s, t, e = np.indices((d, d, m)).reshape(3, -1)
+        to, frm = ((e * d + s, e * d + t) if alg.flipped
+                   else (s * m + e, t * m + e))
+        table[off + s * d + t, pos + to] = pos + frm
+        pos += d * m
+    return table
 
 
 def project_to_algebra(alg: MatrixBlockAlgebra, m):
@@ -282,6 +332,9 @@ def project_to_algebra(alg: MatrixBlockAlgebra, m):
     if m.shape[-2:] != (n, n):
         raise ValueError(f"expected ambient shape {(n, n)}, got {m.shape}")
     batch = m.shape[:-2]
+    if alg.is_full():
+        # the identity; adding 0.0 writes +0.0 for −0.0, as the trace does
+        return AlgebraElement(alg, (m + 0.0,)), (np.zeros(batch) if batch else 0.0)
     # Unflipped blocks carry (row, multiplicity) legs, flipped ones the reverse.
     spec = "...asat->...st" if alg.flipped else "...rsus->...ru"
     mats, pos = [], 0

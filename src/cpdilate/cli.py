@@ -282,7 +282,7 @@ def cmd_roundtrip(args, ctx, tols, timer) -> dict:
         d_prime = weak_tensor_dilation(s_prime, tol=tols["construct"])
         ext = extension_from_dilation(ctx, d_prime, tols["construct"])
     with timer.stage("back"):
-        d_back = dilation_from_extension(ctx, ext.cpmap, tols["construct"],
+        d_back = dilation_from_extension(ctx, ext, tols["construct"],
                                          s_prime=s_prime, data=data)
         ext_back = extension_from_dilation(ctx, d_back, tols["construct"])
     choi_distance = float(np.linalg.norm(

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra as alg_mod
 from .algebra import (AlgebraElement, MatrixBlockAlgebra,
-                      coordinates, element_from_coordinates, identity,
+                      coordinates, element_from_coordinates,
                       represent, state_value)
 from .errors import (AlgebraMismatch, NotCP, NotFullAlgebra,
                      NotHermitianPreserving)
@@ -56,19 +56,18 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     if action.shape != expected:
         raise ValueError(f"action shape {action.shape}, expected {expected}")
 
-    images = basis_images(target, action)
-
-    # *-preservation: the image of E_vu must be the adjoint of the image of E_uv.
+    # *-preservation: the image of E_vu must be the adjoint of the image of
+    # E_uv, the columns of the action permuted on both sides.
     scale = max(1.0, frob(action))
-    perm = alg_mod.adjoint_permutation(source)
     star_residual = float(np.max(np.linalg.norm(
-        coordinates(images)[perm] - coordinates(images.adjoint()), axis=-1)))
+        action.T[alg_mod.adjoint_permutation(source)]
+        - action.T[:, alg_mod.adjoint_permutation(target)].conj(), axis=-1)))
     if star_residual > tol * scale:
         raise NotHermitianPreserving(
             f"map is not *-preserving (residual {star_residual:.3e})")
 
     # Per-source-block Choi matrices; CP iff all are PSD.
-    applied_all = represent(images)
+    applied_all = represent(basis_images(target, action))
     choi_blocks, choi_eigs = [], []
     min_eig = np.inf
     n = target.ambient_dim
@@ -83,7 +82,8 @@ def make_cpmap(source: MatrixBlockAlgebra, target: MatrixBlockAlgebra,
     choi_scale = max(frob(c) for c in choi_blocks)
     is_cp = bool(min_eig >= -tol * max(choi_scale, 1.0))
 
-    unit_diff = action @ coordinates(identity(source)) - coordinates(identity(target))
+    unit_diff = (action @ alg_mod.unit_coordinates(source)
+                 - alg_mod.unit_coordinates(target))
     is_unital = bool(np.linalg.norm(unit_diff) <= tol * max(1.0, np.sqrt(target.coord_dim)))
 
     return CPMap(source=source, target=target, action=action,

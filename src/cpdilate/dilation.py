@@ -25,8 +25,9 @@ from .algebra import AlgebraElement, represent
 from .cpmap import CPMap, basis_images
 from .errors import NotCP, NotUnital
 from .numerics import DEFAULT_TOL, RESIDUAL_FLOOR, frob_each
-from .vnmodule import (GNSData, QONS, embed_qons, gns, isometry_defect,
-                       membership_residual, polar_decompose_module, qons)
+from .vnmodule import (GNSData, QONS, complete_seed, embed_qons, gns,
+                       isometry_defect, membership_residual,
+                       polar_decompose_module, qons)
 
 VERIFY_TOL = RESIDUAL_FLOOR
 
@@ -232,12 +233,14 @@ def nonunital_recovery(s: CPMap, tol: float = DEFAULT_TOL):
     The cyclic vector is polar-decomposed as ξ = ξ₀|ξ| with
     |ξ| = √⟨ξ,ξ⟩ = √S(1); the QONS is seeded with the partial isometry ξ₀
     (so p₀ = support S(1)) and the verified identity becomes
-    S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ|.  Returns ``(dilation, |ξ|)``.
+    S(a) = |ξ|·(id⊗ψ)(j(a))·|ξ|.  Returns ``(dilation, |ξ|)``.  ξ₀ is
+    built here, so it is completed as a library seed: verify's membership
+    is the one check that it intertwines B'.
     """
     if not s.is_cp:
         raise NotCP("recovery requires a completely positive map")
     data = gns(s, tol)
     xi0, absxi, _ = polar_decompose_module(data, data.xi, tol)
-    system = qons(data, [xi0], tol)
+    system = complete_seed(data, [xi0], tol)
     d = _assemble(s, data, system, tol, absxi=absxi)
     return d, absxi

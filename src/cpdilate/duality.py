@@ -290,7 +290,7 @@ def _commutant_lifting(ctx: DualityContext, data: GNSData, xi: np.ndarray,
                                  "commutant lifting")
 
 
-def dilation_from_extension(ctx: DualityContext, z: CPMap,
+def dilation_from_extension(ctx: DualityContext, z: CPMap | Extension,
                             tol: float = DEFAULT_TOL,
                             s_prime: CPMap = None,
                             data: GNSData = None) -> WeakTensorDilation:
@@ -302,7 +302,9 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
     p_H = V·V*.  The state vector is
     ℓ = (⟨f|⊗I_L)ξg, which requires φ_f = φ_g∘Z.  S' is the dual map of
     the context unless given, computed from the same GNS data, which is
-    ``gns(ctx.cpmap, tol)`` unless given.
+    ``gns(ctx.cpmap, tol)`` unless given.  Z is a CPMap, or an
+    ``Extension`` of S for this context, whose Kraus form and restriction
+    residual are then used instead of being computed again.
 
     The checks run in this order: NotCyclic (f not cyclic for A),
     NotCovariant (φ_f ≠ φ_g∘S), NotExtension (Z does not restrict to S on
@@ -310,12 +312,16 @@ def dilation_from_extension(ctx: DualityContext, z: CPMap,
     extension of S is thus rejected before state transport is tested.
     """
     ctx.require("f_cyclic_for_source", "covariant")
-    restriction = _restriction_residual(ctx, z)
+    if isinstance(z, Extension):
+        restriction, kraus = z.restriction_residual, z.kraus
+    else:
+        restriction, kraus = _restriction_residual(ctx, z), None
     if restriction > floored(tol, IDENTITY_FLOOR, 10):
         raise NotExtension(
             f"map does not restrict to S on A (residual {restriction:.3e})")
 
-    kraus = kraus_decomposition(z, tol)
+    if kraus is None:
+        kraus = kraus_decomposition(z, tol)
     xi = kraus.isometry
     l_dim = kraus.l_dim
     dim_f = ctx.dim_f

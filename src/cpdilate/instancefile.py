@@ -34,13 +34,36 @@ def _complex_from_pair(pair):
     return z
 
 
-def _vector_from_json(entries) -> np.ndarray:
+def _complex_array(entries, ndim: int):
+    """The complex array of ``ndim`` axes written as nested [re, im] pairs,
+    parsed in one call, or None when ``entries`` is not such an array of
+    finite numbers; the pairs are then parsed one by one, which names the
+    first bad one."""
+    try:
+        pairs = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2 \
+            or not np.all(np.isfinite(pairs)):
+        return None
+    return pairs.view(np.complex128)[..., 0]
+
+
+def _complex_entries(entries) -> np.ndarray:
     return np.array([_complex_from_pair(p) for p in entries],
                     dtype=np.complex128)
 
 
+def _vector_from_json(entries) -> np.ndarray:
+    vec = _complex_array(entries, 1)
+    return _complex_entries(entries) if vec is None else vec
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([_vector_from_json(row) for row in rows])
+    mat = _complex_array(rows, 2)
+    if mat is None:
+        mat = np.array([_complex_entries(row) for row in rows])
+    return mat
 
 
 def _element_from_json(algebra: MatrixBlockAlgebra, blocks) -> AlgebraElement:

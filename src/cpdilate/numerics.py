@@ -107,10 +107,9 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     if frob(m - m.conj().T) > tol * scale:
         raise NonHermitian("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
-    order = np.arange(values.size)[::-1]  # eigh is ascending; flip
-    values = np.ascontiguousarray(values[order])
-    vectors = np.ascontiguousarray(vectors[:, order])
-    return HermitianEig(values=values, vectors=_canonical_phases(vectors))
+    # eigh is ascending; the phase fix copies the reversed columns
+    return HermitianEig(values=values[::-1],
+                        vectors=_canonical_phases(vectors[:, ::-1]))
 
 
 @dataclass(frozen=True)

@@ -360,26 +360,37 @@ def polar_decompose_module(data: GNSData, x, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class QONS:
-    """Quasi-orthonormal system: elements e_i (operators G → H) with
-    projections p_i = ⟨e_i, e_i⟩ in B.  The residuals are those of the
-    relations e_i*·e_j = δ_ij·p_i and of the completeness Σ e_i e_i* = 1;
-    ``qons`` raises when a caller's seed element does not intertwine,
-    ρ'(c)·e_i ≠ e_i·c, and ``verify_dilation`` checks the other elements."""
+    """Complete quasi-orthonormal system (Paschke), kept as the operator it
+    stacks to: ``isometry`` is V = [e₀*; e₁*; …], K·G×H with the K leg
+    slowest, so the elements e_k: G → H are the adjoints of its G-row
+    blocks, and V*V = Σ e_k·e_k*.  ``projection_coordinates`` holds, one
+    row per element, the coordinates in B of p_k = ⟨e_k, e_k⟩.  The
+    residuals are those of the relations e_i*·e_j = δ_ij·p_i and of the
+    completeness V*V = 1; ``qons`` raises when a caller's seed element
+    does not intertwine, ρ'(c)·e_k ≠ e_k·c, and ``verify_dilation``
+    checks the other elements."""
 
-    elements: tuple
-    projections: tuple
+    isometry: np.ndarray
+    projection_coordinates: np.ndarray
+    target: MatrixBlockAlgebra
     relation_residual: float
     completeness_residual: float
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.projection_coordinates)
+
+    @property
+    def projections(self) -> tuple:
+        """The p_k as elements of B, built on every read."""
+        return tuple(alg_mod.element_from_coordinates(self.target, c)
+                     for c in self.projection_coordinates)
 
 
 def isometry_defect(v) -> np.ndarray:
     """V*V − I for an operator V with H columns; for V = [e₀*; e₁*; …]
     it is Σ e_i·e_i* − I."""
     defect = v.conj().T @ v
-    defect[np.diag_indices_from(defect)] -= 1.0
+    defect.reshape(-1)[::len(defect) + 1] -= 1.0  # the diagonal, in place
     return defect
 
 
@@ -414,18 +425,19 @@ def membership_residual(target: MatrixBlockAlgebra, v, sigma_action) -> float:
     return worst
 
 
-def _qons_relation_residual(v, projections) -> float:
+def _qons_relation_residual(v, p) -> float:
     """max over all pairs of ‖e_i*·e_j − δ_ij·p_i‖, the G×G blocks (i, j)
-    of V·V* for V = [e₀*; e₁*; …]."""
-    k, p = len(projections), represent(alg_mod.element_from_coordinates(
-        projections[0].algebra, np.stack([coordinates(x) for x in projections])))
+    of V·V* for V = [e₀*; e₁*; …] and the stack p (K, G, G) of the p_i."""
+    k = len(p)
     blocks = (v @ v.conj().T).reshape(k, p.shape[1], k, p.shape[2])
     blocks[np.arange(k), :, np.arange(k)] -= p
     return float(np.max(frob_each(blocks.transpose(0, 2, 1, 3))))
 
 
 def _isotypic_completion(data: GNSData, elements, projections):
-    """Elements and projections that complete a quasi-orthonormal seed.
+    """V = [e₀*; e₁*; …] of a quasi-orthonormal seed and of the elements
+    that complete it, written once, and the coordinates (K, n_B) of the
+    projections p_k.
 
     Block b of B' is M_m acting on ℂ^m with multiplicity d in G, and with
     multiplicity μ in H.  W₀ (H×μ) is an orthonormal basis of the range of
@@ -436,9 +448,10 @@ def _isotypic_completion(data: GNSData, elements, projections):
     a complete Householder QR gives an orthonormal basis of the rest,
     and element k takes its d columns from k·d on (fewer in the last
     chunk, which makes a partial projection).  So the system has
-    max_b ⌈(μ_b − seed rank)/d_b⌉ new elements.
+    max_b ⌈(μ_b − seed rank)/d_b⌉ new elements, and their projections are
+    0/1 diagonals.  V is F-ordered, as a stack of the views e.conj().T is.
     """
-    target, h_dim = data.target, data.h_dim
+    target, h_dim, g = data.target, data.h_dim, data.target.ambient_dim
     comm = commutant(target)
     frames = _isotypic_frames(data)
     bases = []
@@ -447,26 +460,34 @@ def _isotypic_completion(data: GNSData, elements, projections):
         coeffs = [np.zeros((w0.shape[1], 0))]
         for e, p in zip(elements, projections):
             t = w0.conj().T @ e[:, _block_columns(target, b, 0)]
-            # T*T is block b of ⟨e, e⟩; keep an orthonormal basis of its range
-            v = _range_basis(p.block_matrices[b])
-            coeffs.append(t if v.shape[1] == d else t @ v)
+            # T*T is block b of ⟨e, e⟩, a certified projection; keep an
+            # orthonormal basis of its range, all of ℂ^d when its trace is d
+            if round(np.trace(p.block_matrices[b]).real) != d:
+                t = t @ _range_basis(p.block_matrices[b])
+            coeffs.append(t)
         seed = np.hstack(coeffs)
         bases.append(np.linalg.qr(seed, mode="complete")[0][:, seed.shape[1]:])
 
+    k_seed = len(elements)
     k_new = max(-(-rest.shape[1] // d)
                 for rest, (_, d) in zip(bases, comm.blocks))
-    new = np.zeros((k_new, h_dim, target.ambient_dim), dtype=np.complex128)
-    proj_blocks = []
-    for b, (w, rest, (m, d)) in enumerate(zip(frames, bases, comm.blocks)):
+    v = np.empty((h_dim, (k_seed + k_new) * g), dtype=np.complex128).T
+    rows = v.reshape(-1, g, h_dim)
+    for row, e in zip(rows, elements):
+        row[...] = e.conj().T
+    coords = np.zeros((len(rows), target.coord_dim), dtype=np.complex128)
+    for row, p in zip(coords, projections):
+        row[...] = coordinates(p)
+    for b, (w, rest, (m, d), off) in enumerate(zip(
+            frames, bases, comm.blocks, target.coord_offsets())):
         padded = np.zeros((rest.shape[0], k_new * d), dtype=np.complex128)
         padded[:, :rest.shape[1]] = rest
         for s in range(m):
-            new[:, :, _block_columns(target, b, s)] = (w[s] @ padded).reshape(
-                h_dim, k_new, d).transpose(1, 0, 2)
+            rows[k_seed:, _block_columns(target, b, s)] = (
+                w[s] @ padded).reshape(h_dim, k_new, d).transpose(1, 2, 0).conj()
         kept = (np.arange(k_new * d) < rest.shape[1]).reshape(k_new, d)
-        proj_blocks.append(kept[:, :, None] * np.eye(d, dtype=np.complex128))
-    return list(new), [AlgebraElement(target, tuple(x[k] for x in proj_blocks))
-                       for k in range(k_new)]
+        coords[k_seed:, off + np.arange(d) * (d + 1)] = kept
+    return v, coords
 
 
 def _isotypic_frames(data: GNSData) -> list:
@@ -506,21 +527,34 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
     """Complete quasi-orthonormal system for the module, extending a seed.
 
     With no seed and a unital map the cyclic vector ξ is the first element
-    (p₀ = 1).  A seed is validated (shape (H, G), finite, in the module,
-    projections, mutually orthogonal, intertwining B') and completed in
-    closed form by ``_isotypic_completion``; with the seed ξ the system
-    has the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉.  Completeness and relations
-    are read off V = [e₀*; e₁*; …].  The default seed ξ and the new
-    elements are not checked to intertwine B' here: ``verify_dilation``'s
+    (p₀ = 1).  The system is ``complete_seed``'s, and a caller's seed is
+    also checked to intertwine B'.  The default seed ξ and the new
+    elements are not checked to intertwine here: ``verify_dilation``'s
     membership checks them in every dilation, and a caller of ``qons``
     alone has no such check.
+    """
+    if seed is None:
+        return complete_seed(data, [data.xi] if data.cpmap.is_unital else [],
+                             tol)
+    return complete_seed(data, seed, tol, check_intertwining=True)
+
+
+def complete_seed(data: GNSData, seed, tol: float = DEFAULT_TOL,
+                  check_intertwining: bool = False) -> QONS:
+    """Complete quasi-orthonormal system extending a seed; one that the
+    library built, as ξ or its polar part, is known to intertwine B'.
+
+    The seed is validated (shape (H, G), finite, in the module,
+    projections, mutually orthogonal, and with ``check_intertwining``
+    intertwining B') and completed in closed form by
+    ``_isotypic_completion``, which writes V = [e₀*; e₁*; …] once; with
+    the seed ξ the system has the minimal size K = maxᵢ ⌈μᵢ/dᵢ⌉.
+    Completeness is ‖V*V − I‖ and the relations are the G×G blocks of
+    V·V* minus the projections.
     """
     elements, projections = [], []
     limit = floored(tol, RESIDUAL_FLOOR)
     shape = (data.h_dim, data.target.ambient_dim)
-    from_caller = seed is not None
-    if seed is None:
-        seed = [data.xi] if data.cpmap.is_unital else []
     for raw in seed:
         e = as_complex(raw)
         if e.shape != shape or not np.all(np.isfinite(e)):
@@ -541,23 +575,22 @@ def qons(data: GNSData, seed=None, tol: float = DEFAULT_TOL) -> QONS:
                 raise BadSeed(f"seed elements are not orthogonal (residual {cross:.3e})")
         elements.append(e)
         projections.append(t)
-    v = np.vstack([np.zeros((0, data.h_dim))] + [e.conj().T for e in elements])
-    seed_intertwining = membership_residual(
-        data.target, v, data.rho_prime_basis_action) if from_caller else 0.0
-    if seed_intertwining > limit:
-        raise BadSeed("seed element does not intertwine B' "
-                      f"(residual {seed_intertwining:.3e})")
+    if check_intertwining and elements:
+        residual = membership_residual(
+            data.target, np.vstack([e.conj().T for e in elements]),
+            data.rho_prime_basis_action)
+        if residual > limit:
+            raise BadSeed("seed element does not intertwine B' "
+                          f"(residual {residual:.3e})")
 
-    new, new_projections = _isotypic_completion(data, elements, projections)
-    elements += new
-    projections += new_projections
-    v = np.vstack([v] + [e.conj().T for e in new])
+    v, coords = _isotypic_completion(data, elements, projections)
     completeness = frob(isometry_defect(v))
     if completeness > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS(
             f"system does not sum to the identity (residual {completeness:.3e})")
-    return QONS(elements=tuple(elements), projections=tuple(projections),
-                relation_residual=_qons_relation_residual(v, projections),
+    p = represent(alg_mod.element_from_coordinates(data.target, coords))
+    return QONS(isometry=v, projection_coordinates=coords, target=data.target,
+                relation_residual=_qons_relation_residual(v, p),
                 completeness_residual=completeness)
 
 
@@ -575,8 +608,8 @@ class ModuleEmbedding:
 
 
 def embed_qons(data: GNSData, system: QONS, tol: float = DEFAULT_TOL) -> ModuleEmbedding:
-    """Embed H into G⊗K through a complete QONS; K_dim = |system|."""
+    """Embed H into G⊗K through a complete QONS; K_dim = |system| and the
+    unitary onto range(p_I) is the system's V itself, not a copy."""
     if system.completeness_residual > floored(tol, IDENTITY_FLOOR, data.h_dim ** 0.5):
         raise IncompleteQONS("embedding requires a complete system")
-    u = np.vstack([e.conj().T for e in system.elements])
-    return ModuleEmbedding(k_dim=len(system), u=u)
+    return ModuleEmbedding(k_dim=len(system), u=system.isometry)

@@ -52,6 +52,52 @@ def structure_constants(alg) -> np.ndarray:
     return out
 
 
+def einsum_represent(x) -> np.ndarray:
+    """Ambient matrices of an element, one einsum of each block with
+    np.eye(m) per block: the oracle of ``algebra.represent``'s scatter,
+    down to the sign of its zeros."""
+    alg = x.algebra
+    batch = np.shape(x.block_matrices[0])[:-2]
+    n = alg.ambient_dim
+    out = np.zeros(batch + (n, n), dtype=np.complex128)
+    # b ⊗ I_m has rows and columns (r, s), b acting on r; I_m ⊗ b has (s, r).
+    spec = "...ru,st->...srtu" if alg.flipped else "...ru,st->...rsut"
+    pos = 0
+    for (d, m), b in zip(alg.blocks, x.block_matrices):
+        size = d * m
+        out[..., pos:pos + size, pos:pos + size] = np.einsum(
+            spec, b, np.eye(m)).reshape(batch + (size, size))
+        pos += size
+    return out
+
+
+def loop_basis_action(alg, v, coords=None) -> np.ndarray:
+    """x_c·v over the coordinate basis, or the elements ``coords``, with
+    one row copy per block: the oracle of ``algebra.basis_action``'s
+    gather."""
+    v = as_complex(v)
+    rows = v.reshape(alg.ambient_dim, -1)
+    chosen = np.arange(alg.coord_dim)
+    if coords is not None:
+        chosen = chosen[coords]
+    out = np.zeros((len(chosen),) + rows.shape, dtype=np.complex128)
+    pos = 0
+    for off, (d, m) in zip(alg.coord_offsets(), alg.blocks):
+        legs = (m, d) if alg.flipped else (d, m)
+        at = np.flatnonzero((chosen >= off) & (chosen < off + d * d))
+        s, t = np.divmod(chosen[at] - off, d)
+        block = rows[pos:pos + d * m].reshape(legs + rows.shape[1:])
+        target = out[:, pos:pos + d * m].reshape(
+            (len(chosen),) + legs + rows.shape[1:])
+        # out[c, rows (s, e)] = v[rows (t, e)] for c = E_st
+        if alg.flipped:
+            target[at, :, s] = block[:, t].swapaxes(0, 1)
+        else:
+            target[at, s] = block[t]
+        pos += d * m
+    return out.reshape((-1,) + v.shape)
+
+
 def exhaustive_homomorphism_residual(source, j_ops) -> float:
     """max ‖j(x_a)·j(x_b) − j(x_a·x_b)‖ over all n_A² pairs of coordinate
     basis elements: the oracle of the matrix-unit relations that
@@ -185,6 +231,13 @@ def dense_rho_prime_ops(data) -> np.ndarray:
         out[:, pos:pos + d * r, pos:pos + d * r] = np.kron(np.eye(d), tau)
         pos += d * r
     return out
+
+
+def qons_elements(system) -> np.ndarray:
+    """The elements e_k: G → H of a QONS as one (K, H, G) stack: the
+    adjoints of the G-row blocks of its V = [e₀*; e₁*; …]."""
+    v = system.isometry
+    return v.reshape(len(system), -1, v.shape[1]).conj().transpose(0, 2, 1)
 
 
 def canonical_phases_loop(vectors: np.ndarray) -> np.ndarray:

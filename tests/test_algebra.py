@@ -10,10 +10,12 @@ from cpdilate.algebra import (adjoint_permutation, basis_action,
                               element, element_from_coordinates, identity,
                               is_cyclic, make_algebra, project_to_algebra,
                               represent, state_value, zero)
+from cpdilate import algebra
 from cpdilate.errors import DimensionCap, NotInAlgebra
+from cpdilate.sampling import random_standard_algebra
 
-from conftest import (null_space, slice_map, structure_constants,
-                      tensor_with_factor)
+from conftest import (einsum_represent, loop_basis_action, null_space,
+                      slice_map, structure_constants, tensor_with_factor)
 
 
 class TestMakeAlgebra:
@@ -411,3 +413,69 @@ class TestBatchedKernels:
         values = state_value(v, stacked)
         for i, x in enumerate(coordinate_basis(alg)):
             assert abs(values[i] - state_value(v, represent(x))) <= 1e-13
+
+
+def signed_zeros(rng, values):
+    """``values`` with about a third of the real and of the imaginary parts
+    replaced by +0.0 or −0.0."""
+    out = values.copy()
+    for part in (out.real, out.imag):
+        zero = rng.random(part.shape) < 1 / 3
+        part[zero] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[zero]
+    return out
+
+
+class TestIndexTables:
+    """The scatter ``represent`` and the gather ``basis_action`` read
+    tables built once per algebra; both copy entries, so they equal the
+    einsum and the loop they replaced bit for bit."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), BATCH)
+    def test_represent_is_the_einsum_bit_for_bit(self, seed, flipped, batch):
+        rng = np.random.default_rng(seed)
+        alg = _algebra(random_standard_algebra(rng, 8).blocks, flipped)
+        coords = signed_zeros(rng, _complex(rng, batch + (alg.coord_dim,)))
+        x = element_from_coordinates(alg, coords)
+        got, want = represent(x), einsum_represent(x)
+        assert got.shape == want.shape
+        # equal bytes: equal values, and zeros of the same sign
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
+    def test_basis_action_is_the_loop_bit_for_bit(self, seed, flipped, q):
+        # every element, an index array with repeats, and slices, for a
+        # vector (q = 0) and for an operator with q columns
+        rng = np.random.default_rng(seed)
+        alg = _algebra(random_standard_algebra(rng, 8).blocks, flipped)
+        shape = (alg.ambient_dim, q) if q else (alg.ambient_dim,)
+        v = signed_zeros(rng, _complex(rng, shape))
+        n = alg.coord_dim
+        for coords in (None, rng.integers(0, n, size=n + 2), slice(1, None, 3),
+                       slice(n // 2, n), slice(n, n)):
+            got, want = basis_action(alg, v, coords), loop_basis_action(alg, v, coords)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_tables_are_built_once_and_read_only(self):
+        alg = make_algebra([(2, 2), (1, 3)])
+        for table in (algebra.adjoint_permutation, algebra.unit_coordinates,
+                      algebra._action_rows):
+            assert table(make_algebra([(2, 2), (1, 3)])) is table(alg)
+            assert not table(alg).flags.writeable
+        assert all(not t.flags.writeable for t in algebra._represent_slots(alg))
+        assert commutant(make_algebra([(2, 2), (1, 3)])) is commutant(alg)
+
+    def test_full_projection_is_the_identity_with_zero_residual(self):
+        # the partial trace over a multiplicity of one is the identity and
+        # writes +0.0 for −0.0; the shortcut keeps both
+        alg = make_algebra([(2, 1)])
+        m = np.array([[-0.0 + 1j, 2.0 - 0.0j], [0.0, -3.5 + 0.25j]])
+        el, residual = project_to_algebra(alg, np.stack([m, 2 * m]))
+        want = np.einsum("...rsus->...ru", np.stack([m, 2 * m]).reshape(2, 2, 1, 2, 1))
+        assert el.block_matrices[0].tobytes() == want.tobytes()
+        assert np.array_equal(residual, [0.0, 0.0])
+        assert project_to_algebra(alg, m)[1] == 0.0

@@ -23,9 +23,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpdilate import cli, dilation, duality
+from cpdilate import cli, dilation, duality, instancefile
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 FLOAT_TOL = 1e-12
@@ -409,6 +412,59 @@ def test_roundtrip_builds_the_gns_data_of_s_once(monkeypatch):
     assert capture(["roundtrip", "--builtin", "--json"])["code"] == 0
     # gns(S), shared by dual_map and dilation_from_extension, and gns(S')
     assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+def test_roundtrip_builds_one_kraus_form_per_extension(monkeypatch):
+    calls = []
+    for name in ("kraus_decomposition", "_restriction_residual"):
+        def counted(*args, _real=getattr(duality, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(duality, name, counted)
+    assert capture(["roundtrip", "--builtin", "--json"])["code"] == 0
+    # one of each for the forward extension and one for the extension of
+    # the recovered dilation; dilation_from_extension reuses the forward
+    # extension's
+    assert sorted(calls) == ["_restriction_residual"] * 2 + ["kraus_decomposition"] * 2
+
+
+NUMBER = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.integers(-2 ** 62, 2 ** 62) | st.booleans())
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_instance_arrays_parse_in_one_call_bit_for_bit(rows, cols, data):
+    # a well-formed array of [re, im] pairs is parsed in one call, with the
+    # bits of the per-pair path; zeros keep their sign
+    matrix = [[[data.draw(NUMBER), data.draw(NUMBER)] for _ in range(cols)]
+              for _ in range(rows)]
+    for row in matrix:
+        assert (instancefile._complex_array(row, 1) is None) == (cols == 0)
+        got, want = instancefile._vector_from_json(row), instancefile._complex_entries(row)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    got = instancefile._matrix_from_json(matrix)
+    want = np.array([instancefile._complex_entries(row) for row in matrix])
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 2.0, 3.0]], [["x", 0.0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
+    [1.0, 2.0], "ab", [[1.0, 2.0], [3.0]], [None], [[1.0, None]], {"a": [1, 2]},
+], ids=["triple", "text", "nan", "inf", "bare_numbers", "string", "ragged",
+        "none", "none_in_pair", "object"])
+def test_malformed_instance_arrays_fail_as_pair_by_pair(entries):
+    # anything but a well-formed array falls back to the per-pair path, so
+    # the error and its message are the ones that path raises
+    def outcome(parse):
+        try:
+            return parse(entries).tobytes()
+        except Exception as exc:  # the error itself is compared
+            return repr(exc)
+    assert outcome(instancefile._vector_from_json) == outcome(
+        instancefile._complex_entries)
+    assert outcome(lambda rows: instancefile._matrix_from_json([rows])) == outcome(
+        lambda rows: np.array([instancefile._complex_entries(rows)]))
 
 
 def test_text_comparison_tolerates_only_float_noise():

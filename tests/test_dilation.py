@@ -17,7 +17,7 @@ from cpdilate.dilation import (VERIFY_TOL, WeakTensorDilation,
                                weak_tensor_dilation)
 from cpdilate.duality import dilation_from_extension, extend_cp_map
 from cpdilate.errors import NotUnital
-from cpdilate.numerics import frob, frob_each
+from cpdilate.numerics import DEFAULT_TOL, frob, frob_each
 from cpdilate.sampling import (random_covariant_context,
                                random_standard_algebra, random_unital_cp_map)
 from cpdilate.vnmodule import gns
@@ -439,6 +439,33 @@ class TestNonunitalRecovery:
         v0 = d.isometry[:b_alg.ambient_dim]
         assert frob(v0 @ v0.conj().T - represent(p)) <= 1e-10
         assert d.certificate.max_residual <= 1e-10
+
+    def test_xi0_is_checked_once_by_verify(self, rng, monkeypatch):
+        # ξ₀ is built by the library, so its intertwining is checked once,
+        # by verify's membership; the caller-seed path checks it twice and
+        # gives the same dilation and certificate
+        a_alg = make_algebra([(2, 1), (1, 1)])
+        b_alg = make_algebra([(1, 2), (2, 1)])
+        s = make_cpmap(a_alg, b_alg,
+                       0.7 * random_unital_cp_map(rng, a_alg, b_alg).action)
+        calls = []
+        real = vnmodule.membership_residual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vnmodule, "membership_residual", counted)
+        monkeypatch.setattr(dilation, "membership_residual", counted)
+        d, absxi = nonunital_recovery(s)
+        assert len(calls) == 1
+        data = d.gns_data
+        xi0, _, _ = vnmodule.polar_decompose_module(data, data.xi)
+        twice = dilation._assemble(s, data, vnmodule.qons(data, [xi0]),
+                                   DEFAULT_TOL, absxi)
+        assert len(calls) == 3
+        assert d.certificate == twice.certificate
+        assert d.isometry.tobytes() == twice.isometry.tobytes()
 
     def test_unital_input_reduces(self, worked_map):
         d, absxi = nonunital_recovery(worked_map)

@@ -219,6 +219,29 @@ class TestDilationFromExtension:
         with pytest.raises(StateMismatch):
             dilation_from_extension(worked_ctx, z_h)
 
+    def test_an_extension_passes_its_kraus_form_and_restriction(self, rng,
+                                                                monkeypatch):
+        # the Extension's Kraus form and restriction residual are those of
+        # its map, so the dilation is the same bit for bit; a bare CPMap
+        # computes both once more
+        calls = []
+        for name in ("kraus_decomposition", "_restriction_residual"):
+            def counted(*args, _real=getattr(duality, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(duality, name, counted)
+        ctx = random_covariant_context(rng, 5)
+        ext = extend_cp_map(ctx)
+        calls.clear()
+        from_ext = dilation_from_extension(ctx, ext)
+        assert calls == []
+        from_map = dilation_from_extension(ctx, ext.cpmap)
+        assert sorted(calls) == ["_restriction_residual", "kraus_decomposition"]
+        assert from_ext.certificate == from_map.certificate
+        assert from_ext.isometry.tobytes() == from_map.isometry.tobytes()
+        assert from_ext.psi_vector.tobytes() == from_map.psi_vector.tobytes()
+
     def test_recovered_state_identity(self, rng):
         for _ in range(5):
             ctx = random_covariant_context(rng, 5)

@@ -1,6 +1,11 @@
-"""Source hygiene checks that need no import of the package."""
+"""Source hygiene checks that need no import of the package in the test
+process; the import check runs a fresh interpreter."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -240,3 +245,33 @@ def test_detects_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import cpdilate.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+caches = {f"{module.__name__}.{name}": value.cache_info().currsize
+          for key, module in list(sys.modules.items())
+          if key.split(".")[0] == "cpdilate"
+          for name, value in vars(module).items() if hasattr(value, "cache_info")}
+print(json.dumps({"third_party": sorted(loaded - set(sys.stdlib_module_names)),
+                  "caches": caches}))
+"""
+
+
+def test_importing_the_cli_loads_numpy_only_and_builds_no_table():
+    # the import is most of a benchmark run's set-up time: it loads no
+    # third-party module but numpy (with its Cython runtime), and every
+    # cached table, of an algebra or otherwise, is built on first use
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout)
+    assert [name for name in probe["third_party"]
+            if name not in ("cpdilate", "numpy", "cython_runtime")
+            and not name.startswith("_cython_")] == []
+    assert "cpdilate.algebra._represent_slots" in probe["caches"]
+    assert {name: size for name, size in probe["caches"].items() if size} == {}

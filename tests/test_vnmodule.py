@@ -25,7 +25,7 @@ from cpdilate.vnmodule import (embed_qons, gns, inner_product,
 
 from conftest import (dense_certificate, dense_rho_ops, dense_rho_prime_ops,
                       gram_schmidt_module_basis, intertwiner_space,
-                      structure_constants)
+                      qons_elements, structure_constants)
 
 
 @pytest.fixture
@@ -429,10 +429,10 @@ class TestQons:
         data = gns(s)
         system = qons(data)
         if kept is not None:
-            system = qons(data, system.elements[:kept])
+            system = qons(data, qons_elements(system)[:kept])
         worst = 0.0
-        for i, ei in enumerate(system.elements):
-            for j, ej in enumerate(system.elements):
+        for i, ei in enumerate(qons_elements(system)):
+            for j, ej in enumerate(qons_elements(system)):
                 expect = represent(system.projections[i]) if i == j else 0.0
                 worst = max(worst, np.linalg.norm(ei.conj().T @ ej - expect))
         assert abs(system.relation_residual - worst) <= 1e-12
@@ -498,14 +498,15 @@ class TestEmbedding:
     def test_coefficients_land_in_corners(self, worked_gns, worked_map):
         system = qons(worked_gns, worked_seed(worked_gns, worked_map))
         u = embed_qons(worked_gns, system).u
+        elements = qons_elements(system)
         a = element(worked_map.source, [np.array([[0.3]]), np.array([[-1.1]])])
         j_a = (u @ worked_gns.rho(a) @ u.conj().T).reshape(3, 2, 3, 2)
         for j in range(3):
             for i in range(3):
                 # the matrix coefficient ⟨e_j, a·e_i⟩ ∈ p_j B p_i, which is
                 # the K-block (j, i) of u·ρ(a)·u*
-                c = inner_product(worked_gns, system.elements[j],
-                                  worked_gns.rho(a) @ system.elements[i])
+                c = inner_product(worked_gns, elements[j],
+                                  worked_gns.rho(a) @ elements[i])
                 assert_allclose(j_a[j, :, i], represent(c), atol=1e-12)
                 pj = system.projections[j]
                 pi = system.projections[i]
@@ -550,7 +551,7 @@ class TestIsotypicQons:
         data = gns(s)
         system = qons(data)
         assert len(system) == minimal_k(data)
-        assert intertwining_residual(data, system.elements) <= 1e-12
+        assert intertwining_residual(data, qons_elements(system)) <= 1e-12
         assert system.relation_residual <= 1e-12
         # ξ*ξ = S(1): the sampler's unitality error, near 1e-12 when S(1)
         # was badly conditioned before normalization, enters Σ e·e* = 1
@@ -608,15 +609,45 @@ class TestIsotypicQons:
         assert len(system) == 3
         p2 = element(worked_map.target, [np.array([[0.0]]), np.array([[1.0]])])
         assert (system.projections[2] - p2).norm() == 0.0
-        new = system.elements[2]
+        new = qons_elements(system)[2]
         assert_allclose(new @ new.conj().T, e2 @ e2.conj().T, atol=1e-12)
         assert system.completeness_residual <= 1e-12
+
+    def test_one_dilation_writes_v_once(self, rng, monkeypatch):
+        # V = [e₀*; e₁*; …] is allocated once, written in place and handed
+        # on as the dilation's isometry: no list of elements is stacked
+        made = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                real = getattr(np, name)
+                if name not in ("empty", "zeros", "vstack", "hstack",
+                                "stack", "concatenate"):
+                    return real
+
+                def counted(*args, **kwargs):
+                    out = real(*args, **kwargs)
+                    made.append((name, out))
+                    return out
+                return counted
+
+        monkeypatch.setattr(vnmodule, "np", CountingNumpy())
+        s = random_unital_cp_map(rng, make_algebra([(3, 1)]),
+                                 make_algebra([(1, 2), (2, 1)]))
+        d = weak_tensor_dilation(s)
+        assert d.k_dim > 1
+        # (zeros of V's size are ρ'(E₀₀) on H when V is square)
+        v_sized = [(name, out) for name, out in made
+                   if name != "zeros" and out.size == d.isometry.size]
+        assert [name for name, _ in v_sized] == ["empty"]
+        assert d.isometry.base is v_sized[0][1]
+        assert d.isometry.flags.f_contiguous
 
     def test_complete_seed_gets_no_new_element(self, worked_gns, worked_map):
         seed = worked_seed(worked_gns, worked_map)
         system = qons(worked_gns, seed)
         assert len(system) == 3
-        for got, raw in zip(system.elements, seed):
+        for got, raw in zip(qons_elements(system), seed, strict=True):
             assert np.array_equal(got, raw)
 
     def test_two_calls_give_bitwise_equal_j_ops(self, rng):
@@ -662,9 +693,11 @@ class TestIsotypicQons:
         real = vnmodule._isotypic_completion
 
         def moved(data, elements, projections):
-            new, new_projections = real(data, elements, projections)
-            new[0] = move(new[0])
-            return new, new_projections
+            # the first new element e is the adjoint of its G-row block of V
+            v, coords = real(data, elements, projections)
+            rows = v.reshape(len(coords), data.target.ambient_dim, -1)
+            rows[len(elements)] = move(rows[len(elements)].conj().T).conj().T
+            return v, coords
 
         monkeypatch.setattr(vnmodule, "_isotypic_completion", moved)
 
@@ -694,7 +727,7 @@ class TestIsotypicQons:
         system = qons(data)
         assert system.completeness_residual <= 1e-12
         assert system.relation_residual <= 1e-12
-        assert intertwining_residual(data, system.elements[1:2]) >= 1e-3
+        assert intertwining_residual(data, qons_elements(system)[1:2]) >= 1e-3
         d = weak_tensor_dilation(s, data=data)
         assert d.certificate.membership >= 1e-3
         assert dense_certificate(d)["membership"] >= 1e-3
@@ -733,7 +766,7 @@ class TestIsotypicQons:
             return vnmodule.membership_residual(s.target, v,
                                                 data.rho_prime_basis_action)
 
-        elements = qons(data).elements
+        elements = qons_elements(qons(data))
         assert residual(elements) <= 1e-12
         assert intertwining_residual(data, elements) <= 1e-12
         moved = data.xi @ unitary
